@@ -216,12 +216,10 @@ def shared_bits_needed(n: int, k: Optional[int] = None,
 
     poly(log n): (phases * epochs) source pairs, each k * m bits.
     """
-    from ...randomness.kwise import KWiseSource
+    from ...randomness.kwise import kwise_degree
 
     k, max_phases, epochs, cap = _defaults(n, k, max_phases, epochs, cap)
-    probe = KWiseSource(1, max(2, n), max(ELECTION_BITS, cap),
-                        coefficients=[0])
-    per_source = k * probe.field.m
+    per_source = k * kwise_degree(max(2, n), max(ELECTION_BITS, cap))
     return 2 * max_phases * epochs * per_source
 
 
@@ -267,10 +265,9 @@ def shared_randomness_decomposition(
             f"needs {needed} at these parameters"
         )
 
-    from ...randomness.kwise import KWiseSource
+    from ...randomness.kwise import kwise_degree
 
-    probe = KWiseSource(1, max(2, n), bits_per_node, coefficients=[0])
-    per_source = k * probe.field.m
+    per_source = k * kwise_degree(max(2, n), bits_per_node)
     sources: Dict[Tuple[int, int, str], object] = {}
 
     def source_for(phase: int, epoch: int, purpose: str):

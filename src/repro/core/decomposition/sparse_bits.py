@@ -249,10 +249,9 @@ def sparse_bits_strong_decomposition(
         cap = max(4, 2 * logn)
     bits_per_node = max(ELECTION_BITS, cap)
 
-    from ...randomness.kwise import KWiseSource
+    from ...randomness.kwise import kwise_degree
 
-    probe = KWiseSource(1, max(2, n), bits_per_node, coefficients=[0])
-    per_source = k * probe.field.m
+    per_source = k * kwise_degree(max(2, n), bits_per_node)
     # The theorem gathers O(log^4 n) true bits per cluster. We gather the
     # per-source seed cost times a small phase allowance; the rest of the
     # seed stream is derived from the gathered bits by the deterministic

@@ -27,7 +27,7 @@ from typing import Dict, Optional, Tuple
 from ..errors import ConfigurationError
 from ..randomness.epsilon_biased import EpsilonBiasedSource
 from ..randomness.independent import IndependentSource
-from ..randomness.kwise import KWiseSource
+from ..randomness.kwise import KWiseSource, kwise_degree
 from ..randomness.shared import SharedRandomness
 from ..randomness.source import RandomSource
 from ..sim.metrics import RunReport
@@ -116,9 +116,7 @@ def make_source(regime: str, instance: SplittingInstance, seed: int = 0,
         return KWiseSource(kk, num_nodes=num_points, bits_per_node=1, seed=seed)
     if regime == "shared-kwise":
         kk = k if k is not None else max(2, 2 * logn)
-        probe = KWiseSource(kk, num_nodes=num_points, bits_per_node=1,
-                            coefficients=[0] * kk)
-        needed = kk * probe.field.m
+        needed = kk * kwise_degree(num_points, 1)
         bits = shared_bits if shared_bits is not None else needed
         shared = SharedRandomness(bits, seed=seed)
         return shared.expand_kwise(kk, num_points, 1)

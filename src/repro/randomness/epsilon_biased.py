@@ -132,8 +132,7 @@ class EpsilonBiasedSource(RandomSource):
     @classmethod
     def enumerate_seeds(cls, num_nodes: int, bits_per_node: int, epsilon: float):
         """Yield a source for every (x, y) pair in the sample space."""
-        probe = cls(num_nodes, bits_per_node, epsilon, x=0, y=0)
-        order = probe.field.order
+        order = 1 << degree_for_bias(num_nodes * bits_per_node, epsilon)
         for x in range(order):
             for y in range(order):
                 yield cls(num_nodes, bits_per_node, epsilon, x=x, y=y)

@@ -13,7 +13,8 @@ the degrees the library needs.
 
 from __future__ import annotations
 
-from typing import Optional
+import functools
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -52,11 +53,65 @@ _IRREDUCIBLE = {
 }
 
 
+class _Tables(NamedTuple):
+    """Read-only log/antilog tables of one GF(2^m), shared per process.
+
+    ``log``/``exp`` serve scalar ``mul``/``inv``: ``log[0]`` is 0 and is
+    never read for a zero operand, and ``exp`` is doubled so a sum of
+    two logs needs no modulo. ``log_np``/``exp_np`` serve the vectorized
+    ops: ``log_np[0]`` is a sentinel pointing into a zero-padded tail of
+    ``exp_np``, so a product with a zero operand gathers a zero and
+    needs no mask.
+    """
+
+    log: tuple
+    exp: tuple
+    log_np: np.ndarray
+    exp_np: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def _tables_for(m: int) -> Optional[_Tables]:
+    """Discrete logs base x, or None when x does not generate GF(2^m)*.
+
+    Cached per degree: the first GF2m(m) of a process builds the
+    tables (never the import) and every later instance shares them.
+    """
+    order = 1 << m
+    modulus = _IRREDUCIBLE[m]
+    period = order - 1
+    exp = [1] * period
+    value = 1
+    for i in range(1, period):
+        value <<= 1  # multiply by x, then reduce
+        if value & order:
+            value ^= modulus
+        if value == 1:
+            return None  # x is not primitive for this modulus
+        exp[i] = value
+    # Doubled powers, then zeros: log_np[0] = 2 * period plus any log
+    # (the sentinel itself included) lands in the zero tail.
+    exp_np = np.zeros(4 * period + 1, dtype=np.int64)
+    exp_np[:period] = exp
+    exp_np[period:2 * period] = exp
+    log_np = np.zeros(order, dtype=np.int64)
+    log_np[exp_np[:period]] = np.arange(period, dtype=np.int64)
+    log = tuple(log_np.tolist())
+    log_np[0] = 2 * period
+    log_np.flags.writeable = False
+    exp_np.flags.writeable = False
+    return _Tables(log, tuple(exp + exp), log_np, exp_np)
+
+
 class GF2m:
     """The finite field GF(2^m) for a supported degree ``m``.
 
-    Instances are lightweight: they carry only the degree and modulus.
-    Field elements are plain integers, which keeps hot loops fast.
+    Field elements are plain integers, which keeps hot loops fast. For
+    ``m <= 16`` multiplication goes through log/antilog tables when
+    ``x`` generates the multiplicative group (all supported degrees
+    except the AES polynomial at ``m = 8``). The tables are built by
+    the first ``GF2m(m)`` of a process and shared, read-only, by every
+    later instance of that degree, so an instance costs a cache lookup.
 
     >>> f = GF2m(8)
     >>> f.mul(0x53, 0xCA)  # the classic AES example
@@ -73,16 +128,10 @@ class GF2m:
         self.modulus = _IRREDUCIBLE[m]
         self.order = 1 << m
         self._mask = self.order - 1
-        # Log/antilog tables make mul O(1); only worth the memory for
-        # moderate m, and only if x is a generator of the multiplicative
-        # group (true for the primitive polynomials below; verified at
-        # build time, falling back to carry-less multiplication if not).
-        self._log: list = []
-        self._exp: list = []
-        self._log_np: Optional[np.ndarray] = None
-        self._exp_np: Optional[np.ndarray] = None
-        if m <= 16:
-            self._build_tables()
+        tables = _tables_for(m) if m <= 16 else None
+        self._tables = tables
+        self._log: tuple = tables.log if tables is not None else ()
+        self._exp: tuple = tables.exp if tables is not None else ()
 
     def __repr__(self) -> str:
         return f"GF2m({self.m})"
@@ -93,6 +142,10 @@ class GF2m:
     def __hash__(self) -> int:
         return hash(("GF2m", self.m))
 
+    def __reduce__(self):
+        # Unpickle by degree, so the copy shares this process's tables.
+        return GF2m, (self.m,)
+
     def element(self, value: int) -> int:
         """Reduce an arbitrary integer into the field by truncation."""
         return value & self._mask
@@ -100,23 +153,6 @@ class GF2m:
     def add(self, a: int, b: int) -> int:
         """Field addition (XOR of coefficient vectors)."""
         return a ^ b
-
-    def _build_tables(self) -> None:
-        """Precompute discrete logs base x (when x generates GF(2^m)*)."""
-        exp = [1]
-        value = 1
-        for _ in range(self.order - 2):
-            value = self._mul_slow(value, 2)  # multiply by x
-            if value == 1:
-                self._log = []
-                self._exp = []
-                return  # x is not primitive for this modulus; keep slow path
-            exp.append(value)
-        log = [0] * self.order
-        for i, v in enumerate(exp):
-            log[v] = i
-        self._exp = exp + exp  # doubled so mul never needs a modulo
-        self._log = log
 
     def mul(self, a: int, b: int) -> int:
         """Field multiplication (table-based when available)."""
@@ -178,33 +214,29 @@ class GF2m:
     # ------------------------------------------------------------------
     # Vectorized arithmetic (table-backed; None when tables are absent)
     # ------------------------------------------------------------------
-    def _tables_np(self) -> Optional[tuple]:
-        """The log/antilog tables as numpy arrays, or None (m > 16)."""
-        if not self._log:
-            return None
-        if self._log_np is None:
-            self._log_np = np.asarray(self._log, dtype=np.int64)
-            self._exp_np = np.asarray(self._exp, dtype=np.int64)
-        return self._log_np, self._exp_np
-
     def mul_vec(self, a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
         """Elementwise field product of two int64 arrays (or None)."""
-        tables = self._tables_np()
+        tables = self._tables
         if tables is None:
             return None
-        log, exp = tables
-        # log[0] is a junk entry; mask zeros out afterwards.
-        out = exp[log[a] + log[b]]
-        return np.where((a == 0) | (b == 0), 0, out)
+        log = tables.log_np
+        return tables.exp_np[log[a] + log[b]]
 
     def eval_poly_vec(self, coeffs: list, xs: np.ndarray) -> Optional[np.ndarray]:
-        """Horner evaluation of one polynomial at many points (or None)."""
-        tables = self._tables_np()
+        """Horner evaluation of one polynomial at an array of points.
+
+        ``xs`` may have any shape; the result has the same shape (or is
+        None when the field has no tables).
+        """
+        tables = self._tables
         if tables is None:
             return None
-        acc = np.zeros(xs.size, dtype=np.int64)
+        log, exp = tables.log_np, tables.exp_np
+        log_x = log[xs]
+        acc = np.zeros(log_x.shape, dtype=np.int64)
         for c in reversed(coeffs):
-            acc = self.mul_vec(acc, xs) ^ c
+            acc = exp[log[acc] + log_x]
+            acc ^= c
         return acc
 
     def pow_range_vec(self, a: int, start: int, count: int) -> Optional[np.ndarray]:
@@ -214,7 +246,7 @@ class GF2m:
         ``exp[(log a * e) mod (2^m - 1)]`` — one vectorized modmul per
         block instead of a chain of field multiplications.
         """
-        tables = self._tables_np()
+        tables = self._tables
         if tables is None:
             return None
         if a == 0:
@@ -222,10 +254,9 @@ class GF2m:
             if start == 0 and count:
                 out[0] = 1  # 0^0 == 1 by the repeated-product convention
             return out
-        log, exp = tables
-        la = int(log[a])
+        la = self._log[a]
         exps = (la * (start + np.arange(count, dtype=np.int64))) % (self.order - 1)
-        return exp[exps]
+        return tables.exp_np[exps]
 
 
 def inner_product_bits(a: int, b: int) -> int:

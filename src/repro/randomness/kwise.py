@@ -17,7 +17,7 @@ independent").
 from __future__ import annotations
 
 import hashlib
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,6 +42,17 @@ def _coefficients_from_seed(seed: int, k: int, m: int) -> List[int]:
         pool >>= m
         pool_bits -= m
     return coeffs
+
+
+def kwise_degree(num_nodes: int, bits_per_node: int) -> int:
+    """Field degree of a :class:`KWiseSource` over this address space.
+
+    The field must hold ``num_nodes * bits_per_node`` distinct points;
+    the seed costs ``k`` times this many bits.
+    """
+    if num_nodes < 1 or bits_per_node < 1:
+        raise ConfigurationError("num_nodes and bits_per_node must be >= 1")
+    return min_degree_for(num_nodes * bits_per_node + 1)
 
 
 class KWiseSource(RandomSource):
@@ -69,13 +80,10 @@ class KWiseSource(RandomSource):
         super().__init__(bit_budget=bit_budget)
         if k < 1:
             raise ConfigurationError(f"k must be >= 1, got {k}")
-        if num_nodes < 1 or bits_per_node < 1:
-            raise ConfigurationError("num_nodes and bits_per_node must be >= 1")
         self.k = k
         self.num_nodes = num_nodes
         self.bits_per_node = bits_per_node
-        num_points = num_nodes * bits_per_node
-        self.field = GF2m(min_degree_for(num_points + 1))
+        self.field = GF2m(kwise_degree(num_nodes, bits_per_node))
         if coefficients is not None:
             if len(coefficients) != k:
                 raise ConfigurationError(
@@ -116,6 +124,49 @@ class KWiseSource(RandomSource):
     def _stream_limit(self, node: object) -> Optional[int]:
         return self.bits_per_node
 
+    def geometrics(self, nodes: Sequence[object], cap: int,
+                   offset: int = 0) -> Tuple[np.ndarray, np.ndarray]:
+        """One Geometric(1/2) draw per node, as :meth:`RandomSource.geometrics`.
+
+        All nodes' blocks ``[offset, offset + cap)`` form one
+        ``(nodes x cap)`` point matrix, evaluated in a single Horner
+        pass. Metering is the per-node loop's: one ``_consume`` per
+        node, in order, so budget exhaustion leaves the same ledger.
+        Requests the bulk pass cannot serve exactly (a bad node id, a
+        block past ``bits_per_node``, a field without tables) take the
+        per-node loop, which raises where the scalar calls would.
+        """
+        if cap < 1:
+            raise ConfigurationError(f"cap must be at least 1, got {cap}")
+        ids = self._node_ids(nodes)
+        if ids is None or offset < 0 or offset + cap > self.bits_per_node:
+            return super().geometrics(nodes, cap, offset)
+        # A field with tables has at most 2^16 points, so for distinct
+        # nodes the matrix is no larger than the address space.
+        points = (ids * self.bits_per_node + offset)[:, None] \
+            + np.arange(cap, dtype=np.int64)
+        values = self.field.eval_poly_vec(self._coeffs, points)
+        if values is None:
+            return super().geometrics(nodes, cap, offset)
+        tails = (values & 1) == 0
+        # The draw is the index of the first tail, or cap without one;
+        # either way it equals the bits the draw examined.
+        steps = np.where(tails.any(axis=1), tails.argmax(axis=1) + 1, cap)
+        consume = self._consume
+        for node, step in zip(nodes, steps.tolist()):
+            consume(node, offset, offset + step)
+        return steps, steps.copy()
+
+    def _node_ids(self, nodes: Sequence[object]) -> Optional[np.ndarray]:
+        """``nodes`` as int64 ids, or None if any is not a valid node."""
+        try:
+            ids = np.array([int(node) for node in nodes], dtype=np.int64)
+        except (TypeError, ValueError, OverflowError):
+            return None
+        if ids.size and (ids.min() < 0 or ids.max() >= self.num_nodes):
+            return None
+        return ids
+
     @classmethod
     def enumerate_seeds(cls, k: int, num_nodes: int, bits_per_node: int):
         """Yield one source per polynomial in the seed space.
@@ -124,12 +175,11 @@ class KWiseSource(RandomSource):
         polynomials); used by tests that verify *exact* k-wise uniformity
         by complete enumeration.
         """
-        field = GF2m(min_degree_for(num_nodes * bits_per_node + 1))
-        total = field.order ** k
-        for raw in range(total):
+        order = 1 << kwise_degree(num_nodes, bits_per_node)
+        for raw in range(order ** k):
             coeffs = []
             x = raw
             for _ in range(k):
-                coeffs.append(x % field.order)
-                x //= field.order
+                coeffs.append(x % order)
+                x //= order
             yield cls(k, num_nodes, bits_per_node, coefficients=coeffs)

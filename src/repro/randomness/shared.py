@@ -19,7 +19,7 @@ import numpy as np
 
 from ..errors import ConfigurationError, RandomnessExhausted
 from .block import BlockStream, derive_key
-from .kwise import KWiseSource
+from .kwise import KWiseSource, kwise_degree
 from .source import RandomSource, pack_bits
 
 
@@ -101,10 +101,8 @@ class SharedRandomness(RandomSource):
         stream. Raises :class:`RandomnessExhausted` if the shared string
         is too short — making the seed-length accounting explicit.
         """
-        probe = KWiseSource(k, num_nodes, bits_per_node, coefficients=[0] * k)
-        m = probe.field.m
-        needed = k * m
-        coeff_bits = self.bits_block("__shared__", needed, offset)
+        m = kwise_degree(num_nodes, bits_per_node)
+        coeff_bits = self.bits_block("__shared__", k * m, offset)
         coeffs = [pack_bits(coeff_bits[i * m:(i + 1) * m]) for i in range(k)]
         return KWiseSource(k, num_nodes, bits_per_node, coefficients=coeffs)
 

@@ -1,10 +1,17 @@
 """GF(2^m) arithmetic: axioms, tables, and polynomial evaluation."""
 
+import os
+import subprocess
+import sys
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import repro
 from repro.errors import ConfigurationError
+from repro.randomness import finite_field as field_module
 from repro.randomness.finite_field import (
     GF2m,
     inner_product_bits,
@@ -150,3 +157,97 @@ class TestHelpers:
         assert GF2m(5) == GF2m(5)
         assert GF2m(5) != GF2m(6)
         assert hash(GF2m(5)) == hash(GF2m(5))
+
+
+def reference_tables(field):
+    """Log/antilog tables built the slow way: repeated ``_mul_slow``."""
+    exp = [1]
+    for _ in range(field.order - 2):
+        exp.append(field._mul_slow(exp[-1], 2))
+    log = [0] * field.order
+    for i, value in enumerate(exp):
+        log[value] = i
+    return log, exp
+
+
+TABLE_DEGREES = [m for m in supported_degrees() if m <= 16 and m != 8]
+
+
+class TestSharedTables:
+    """Each degree's tables are built once per process and shared."""
+
+    @pytest.mark.parametrize("m", TABLE_DEGREES)
+    def test_cached_tables_equal_slow_reference(self, m):
+        field = GF2m(m)
+        log, exp = reference_tables(field)
+        assert list(field._log) == log
+        assert list(field._exp) == exp + exp
+        period = field.order - 1
+        tables = field._tables
+        assert tables.log_np[1:].tolist() == log[1:]
+        assert tables.exp_np[:2 * period].tolist() == exp + exp
+        assert not tables.exp_np[2 * period:].any()
+        assert tables.exp_np[tables.log_np[0] + tables.log_np].tolist() \
+            == [0] * field.order
+
+    def test_instances_share_table_objects(self):
+        first, second = GF2m(12), GF2m(12)
+        assert first._tables is second._tables
+        assert first._log is second._log and first._exp is second._exp
+
+    def test_aes_field_stays_tableless(self):
+        field = GF2m(8)
+        assert field._tables is None and not field._log
+        assert field_module._tables_for(8) is None
+        assert field.mul_vec(np.array([3]), np.array([5])) is None
+        assert field.eval_poly_vec([1, 2], np.array([3])) is None
+
+    def test_shared_tables_are_read_only(self):
+        field = GF2m(5)
+        with pytest.raises(TypeError):
+            field._log[3] = 0
+        with pytest.raises(TypeError):
+            field._exp[3] = 0
+        for array in (field._tables.log_np, field._tables.exp_np):
+            with pytest.raises(ValueError):
+                array[3] = 0
+        with pytest.raises(AttributeError):
+            field._tables.log_np = None
+        assert GF2m(5).mul(3, 7) == field._mul_slow(3, 7)
+
+    def test_import_builds_no_tables(self):
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        code = ("import repro.analysis.experiments\n"
+                "from repro.randomness import finite_field\n"
+                "assert finite_field._tables_for.cache_info().currsize == 0\n")
+        env = dict(os.environ, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+class TestVectorized:
+    """The numpy ops agree with the scalar ones, zeros and 2-D included."""
+
+    @pytest.mark.parametrize("m", [1, 3, 5, 12, 16])
+    def test_mul_vec_matches_mul(self, m):
+        field = GF2m(m)
+        rng = np.random.default_rng(m)
+        a = rng.integers(0, field.order, size=(6, 9))
+        b = rng.integers(0, field.order, size=(6, 9))
+        a[0, :] = 0
+        b[:, 0] = 0
+        got = field.mul_vec(a, b)
+        assert got.shape == a.shape
+        for i, j in np.ndindex(*a.shape):
+            assert got[i, j] == field.mul(int(a[i, j]), int(b[i, j]))
+
+    @pytest.mark.parametrize("m", [1, 3, 5, 12, 16])
+    @pytest.mark.parametrize("coeffs", [[], [0], [5], [0, 0, 3], [3, 0, 7, 1]])
+    def test_eval_poly_vec_matches_eval_poly(self, m, coeffs):
+        field = GF2m(m)
+        coeffs = [field.element(c) for c in coeffs]
+        xs = np.random.default_rng(m).integers(0, field.order, size=(4, 7))
+        xs[1, :] = 0
+        got = field.eval_poly_vec(coeffs, xs)
+        assert got.shape == xs.shape
+        for i, j in np.ndindex(*xs.shape):
+            assert got[i, j] == field.eval_poly(coeffs, int(xs[i, j]))

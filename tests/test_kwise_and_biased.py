@@ -8,9 +8,12 @@ statistical approximation.
 
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, RandomnessExhausted
 from repro.randomness import EpsilonBiasedSource, KWiseSource
 from repro.randomness.epsilon_biased import degree_for_bias
 
@@ -138,3 +141,86 @@ class TestEpsilonBiased:
         # the Lemma 3.4 budget.
         source = EpsilonBiasedSource(1024, 1, 1.0 / 1024, seed=0)
         assert source.seed_bits <= 64
+
+
+def _outcome(call):
+    """A call's result, or the type and message of the error it raised."""
+    try:
+        return "ok", call()
+    except (ConfigurationError, RandomnessExhausted) as exc:
+        return type(exc), str(exc)
+
+
+def _per_node_geometrics(source, nodes, cap, offset):
+    values, used = [], []
+    for node in nodes:
+        value, step = source.geometric(node, cap, offset)
+        values.append(value)
+        used.append(step)
+    return values, used
+
+
+@st.composite
+def geometric_requests(draw):
+    k = draw(st.integers(1, 6))
+    num_nodes = draw(st.integers(1, 40))
+    bits_per_node = draw(st.integers(1, 40))
+    cap = draw(st.integers(1, bits_per_node + 2))
+    offset = draw(st.integers(0, bits_per_node))
+    nodes = draw(st.lists(st.integers(0, num_nodes - 1), max_size=25))
+    if draw(st.booleans()):  # one node id outside [0, num_nodes)
+        bad = draw(st.sampled_from([-1, num_nodes, num_nodes + 7]))
+        nodes.insert(draw(st.integers(0, len(nodes))), bad)
+    budget = draw(st.none() | st.integers(0, 150))
+    seed = draw(st.integers(0, 2 ** 32))
+    return k, num_nodes, bits_per_node, cap, offset, nodes, budget, seed
+
+
+class TestKWiseBulkGeometrics:
+    """Bulk geometrics draw and charge exactly what per-node calls do."""
+
+    @settings(max_examples=200)
+    @given(geometric_requests())
+    def test_bulk_matches_per_node_calls(self, request):
+        k, num_nodes, bits_per_node, cap, offset, nodes, budget, seed = request
+
+        def source():
+            return KWiseSource(k, num_nodes, bits_per_node, seed=seed,
+                               bit_budget=budget)
+
+        bulk, scalar = source(), source()
+        got = _outcome(lambda: bulk.geometrics(nodes, cap, offset))
+        want = _outcome(lambda: _per_node_geometrics(scalar, nodes, cap, offset))
+        if got[0] == "ok":
+            values, used = got[1]
+            got = "ok", (values.tolist(), used.tolist())
+        assert got == want
+        assert bulk.bits_consumed == scalar.bits_consumed
+        assert set(bulk.nodes_touched()) == set(scalar.nodes_touched())
+        for node in set(nodes):
+            assert bulk.bits_consumed_by(node) == scalar.bits_consumed_by(node)
+
+    def test_one_horner_pass_for_all_nodes(self):
+        source = KWiseSource(8, 64, 30, seed=5)
+        calls = []
+        evaluate = source.field.eval_poly_vec
+
+        def counted(coeffs, xs):
+            calls.append(np.shape(xs))
+            return evaluate(coeffs, xs)
+
+        source.field.eval_poly_vec = counted
+        values, used = source.geometrics(list(range(64)), cap=10, offset=10)
+        assert calls == [(64, 10)]
+        assert values.tolist() == used.tolist()
+
+    def test_tableless_field_takes_per_node_path(self):
+        # 2^16 points need GF(2^17), which has no log tables.
+        bulk = KWiseSource(3, 1 << 16, 1, seed=2)
+        scalar = KWiseSource(3, 1 << 16, 1, seed=2)
+        assert bulk.field.m == 17
+        nodes = [0, 9, 65535]
+        values, used = bulk.geometrics(nodes, cap=1)
+        assert (values.tolist(), used.tolist()) \
+            == _per_node_geometrics(scalar, nodes, 1, 0)
+        assert bulk.bits_consumed == scalar.bits_consumed == 3
