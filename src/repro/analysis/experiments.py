@@ -522,19 +522,16 @@ def e07_derandomize(quick: bool = False, seed: int = 0,
     degree = 8
     seed_bits = 10 if quick else 12
     rows: List[Dict[str, object]] = []
+
+    def run(inst, seeds):
+        # V-node x is colored by shared bit x mod b, on every seed at once.
+        return inst.satisfied_by(seeds[:, [x % seed_bits for x in inst.v_side]])
+
     for family_size in (4, 16, 64):
         instances = [
             random_instance(12, 24, degree, seed=seed + 101 * i)
             for i in range(family_size)
         ]
-
-        def run(inst, shared):
-            coloring = {
-                x: shared.global_bit(x % shared.seed_bits)
-                for x in inst.v_side
-            }
-            return inst.is_satisfied(coloring)
-
         try:
             result = exhaustive_derandomize(run, instances, seed_bits)
             curve = seeds_to_failure_curve(result)

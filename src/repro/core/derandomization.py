@@ -7,7 +7,10 @@ Three executable pieces:
   deterministic algorithms; if its failure probability is below
   1/|family|, some single seed must succeed on *every* instance of the
   family, and we find it by enumeration. (The lemma's 2^(-n²) threshold
-  is exactly 1/|G_n| for the family of all labeled n-node graphs.)
+  is exactly 1/|G_n| for the family of all labeled n-node graphs.) The
+  seed space is one (2^b x b) bit matrix, and the algorithm runs on all
+  of its rows at once per instance: ``run(instance, seeds)`` returns one
+  success flag per seed.
 
 * :func:`lie_about_n` — the [CKP16] technique behind Theorems 4.3/4.6:
   run a non-uniform algorithm telling it the network has N >= n nodes.
@@ -24,7 +27,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from ..errors import ConfigurationError, DerandomizationFailure
 from ..randomness.shared import SharedRandomness
@@ -50,18 +55,28 @@ class DerandomizationResult:
 
 
 def exhaustive_derandomize(
-    run: Callable[[object, SharedRandomness], bool],
+    run: Callable[[object, np.ndarray], np.ndarray],
     instances: Sequence[object],
     seed_bits: int,
     stop_early: bool = False,
 ) -> DerandomizationResult:
     """Find a shared seed on which ``run`` succeeds for every instance.
 
-    ``run(instance, shared) -> bool`` must be deterministic given the
-    shared string (the w.l.o.g. normal form of the Lemma 4.1 proof).
-    Raises :class:`DerandomizationFailure` if every seed fails somewhere
-    — i.e. if the algorithm's error probability is >= 1/|instances| and
-    the lemma's premise does not hold for this family.
+    The whole seed space is one bit matrix,
+    ``SharedRandomness.seed_matrix(seed_bits)``: row r is seed r, whose
+    bit i is ``(r >> i) & 1``. ``run(instance, seeds)`` evaluates one
+    instance on every seed at once and returns a bool array of shape
+    ``(2^b,)``, True where that seed succeeds; it must be deterministic
+    given each row (the w.l.o.g. normal form of the Lemma 4.1 proof).
+    Anything else raises :class:`ConfigurationError`. The matrix takes
+    ``2^b * b`` bytes.
+
+    Seeds are ranked in row order. Without ``stop_early`` every seed's
+    failure count is reported; with it, only the seeds up to the first
+    good one, each counted as 0 or 1 failures. Raises
+    :class:`DerandomizationFailure` if every seed fails somewhere — i.e.
+    if the algorithm's error probability is >= 1/|instances| and the
+    lemma's premise does not hold for this family.
     """
     if seed_bits < 1 or seed_bits > 24:
         raise ConfigurationError(
@@ -69,30 +84,32 @@ def exhaustive_derandomize(
         )
     if not instances:
         raise ConfigurationError("at least one instance is required")
-    per_seed_failures: List[int] = []
-    good: Optional[List[int]] = None
-    tried = 0
-    for shared in SharedRandomness.enumerate_all(seed_bits):
-        tried += 1
-        failures = 0
-        for instance in instances:
-            if not run(instance, shared):
-                failures += 1
-                if stop_early:
-                    break
-        per_seed_failures.append(failures)
-        if failures == 0 and good is None:
-            good = [shared.global_bit(i) for i in range(seed_bits)]
-            if stop_early:
-                break
-    if good is None:
+    seeds = SharedRandomness.seed_matrix(seed_bits)
+    failures = np.zeros(len(seeds), dtype=np.int64)
+    for instance in instances:
+        ok = np.asarray(run(instance, seeds))
+        if ok.shape != failures.shape or ok.dtype != np.bool_:
+            raise ConfigurationError(
+                f"run must return a bool array of shape {failures.shape}, "
+                f"got {ok.dtype} of shape {ok.shape}"
+            )
+        failures += ~ok
+    good_rows = np.flatnonzero(failures == 0)
+    if stop_early:
+        tried = int(good_rows[0]) + 1 if len(good_rows) else len(seeds)
+        failures = np.minimum(failures[:tried], 1)
+    per_seed_failures = failures.tolist()
+    if not len(good_rows):
         raise DerandomizationFailure(
             f"no seed of {seed_bits} bits succeeds on all "
             f"{len(instances)} instances; best seed fails "
             f"{min(per_seed_failures)} of them"
         )
+    shared = SharedRandomness(seed_bits,
+                              explicit_bits=seeds[good_rows[0]].tolist())
+    good = [shared.global_bit(i) for i in range(seed_bits)]
     return DerandomizationResult(
-        seed_bits=seed_bits, good_seed=good, seeds_tried=tried,
+        seed_bits=seed_bits, good_seed=good, seeds_tried=len(per_seed_failures),
         per_seed_failures=per_seed_failures, instances=len(instances))
 
 

@@ -106,13 +106,17 @@ class SharedRandomness(RandomSource):
         coeffs = [pack_bits(coeff_bits[i * m:(i + 1) * m]) for i in range(k)]
         return KWiseSource(k, num_nodes, bits_per_node, coefficients=coeffs)
 
-    @classmethod
-    def enumerate_all(cls, num_bits: int):
-        """Yield every possible shared string of ``num_bits`` bits.
+    @staticmethod
+    def seed_matrix(num_bits: int) -> np.ndarray:
+        """Every shared string of ``num_bits`` bits, one per row.
 
-        The seed-enumeration derandomization of Lemma 4.1 iterates over
-        exactly this space.
+        The seed-enumeration derandomization of Lemma 4.1 ranges over
+        exactly this space. Row ``r`` is the string whose bit ``i`` is
+        ``(r >> i) & 1``; the ``(2^b x b)`` uint8 matrix is read-only.
         """
-        for raw in range(1 << num_bits):
-            bits = [(raw >> i) & 1 for i in range(num_bits)]
-            yield cls(num_bits, explicit_bits=bits)
+        if num_bits < 1:
+            raise ConfigurationError(f"num_bits must be >= 1, got {num_bits}")
+        rows = np.arange(1 << num_bits, dtype=np.int64)[:, None]
+        matrix = ((rows >> np.arange(num_bits)) & 1).astype(np.uint8)
+        matrix.flags.writeable = False
+        return matrix

@@ -10,9 +10,11 @@ bound and whose overlaps define the congestion.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Dict, List, Optional, Set, Tuple
 
 import networkx as nx
+import numpy as np
 
 from .errors import ConfigurationError
 from .sim.graph import DistributedGraph
@@ -225,6 +227,44 @@ class SplittingInstance:
     def is_satisfied(self, coloring: Dict[int, int]) -> bool:
         """Does the red/blue coloring of V give every u both colors?"""
         return not self.violated_nodes(coloring)
+
+    def satisfied_by(self, colorings: np.ndarray) -> np.ndarray:
+        """:meth:`is_satisfied` for many colorings at once.
+
+        ``colorings`` is an ``(S x |V|)`` matrix whose columns follow
+        ``v_side`` order; row s is one coloring. Returns a bool per row:
+        every u sees two colors, i.e. the min and max over its neighbor
+        columns differ. A U-node with no neighbors violates every row.
+        """
+        colorings = np.asarray(colorings)
+        if colorings.ndim != 2 or colorings.shape[1] != len(self.v_side):
+            raise ConfigurationError(
+                f"expected an (S x {len(self.v_side)}) coloring matrix, "
+                f"got shape {colorings.shape}"
+            )
+        columns = self._neighbor_columns
+        if columns is None:
+            return np.zeros(len(colorings), dtype=bool)
+        if not self.u_side:
+            return np.ones(len(colorings), dtype=bool)
+        seen = colorings[:, columns]
+        return (seen.min(axis=2) != seen.max(axis=2)).all(axis=1)
+
+    @functools.cached_property
+    def _neighbor_columns(self) -> Optional[np.ndarray]:
+        """``(|U| x max degree)`` v_side positions of each u's neighbors.
+
+        Short rows are padded with their own first neighbor, which
+        changes no min or max. ``None`` if some u has no neighbors.
+        """
+        position = {x: j for j, x in enumerate(self.v_side)}
+        rows = [[position[x] for x in self.adjacency.get(u, ())]
+                for u in self.u_side]
+        if not all(rows):
+            return None
+        width = max(map(len, rows), default=0)
+        return np.array([row + row[:1] * (width - len(row)) for row in rows],
+                        dtype=np.intp)
 
     def violated_nodes(self, coloring: Dict[int, int]) -> List[int]:
         """U-nodes that see only one color."""

@@ -7,44 +7,13 @@ line; blank lines and the ``### done eXX in Ns`` timing lines are
 ignored, since they are not part of a table.
 """
 
-import os
-import re
-
 import pytest
+from helpers import pinned_tables, table_lines
 
 from repro.analysis.experiments import EXPERIMENTS
 
-PINNED = os.path.join(os.path.dirname(__file__), os.pardir, "EXPERIMENTS.md")
-DONE = re.compile(r"^### done (e\d\d)\b")
 DRIVERS = [f"e{i:02d}" for i in range(1, 12)]
-
-
-def table_lines(text):
-    return [line for line in text.splitlines()
-            if line.strip() and not DONE.match(line)]
-
-
-def pinned_quick_tables():
-    """Driver name -> its pinned lines from the "Quick profile" block."""
-    with open(PINNED, encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    start = lines.index("## Quick profile")
-    fence = next(i for i in range(start, len(lines))
-                 if lines[i].startswith("```"))
-    tables = {}
-    current = None
-    for line in lines[fence + 1:]:
-        if line.startswith("```"):
-            break
-        match = DONE.match(line)
-        if match:
-            current = tables.setdefault(match.group(1), [])
-        elif current is not None and line.strip():
-            current.append(line)
-    return tables
-
-
-PINNED_TABLES = pinned_quick_tables()
+PINNED_TABLES = pinned_tables("## Quick profile")
 
 
 def test_block_pins_every_driver():

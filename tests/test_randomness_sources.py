@@ -1,5 +1,6 @@
 """Randomness sources: determinism, metering, budgets, samplers."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, ModelViolation, RandomnessExhausted
@@ -161,10 +162,17 @@ class TestSharedRandomness:
         s = SharedRandomness(16, seed=2)
         assert s.bit("a", 3) == s.bit("b", 3)
 
-    def test_enumerate_all_covers_space(self):
-        seen = {tuple(sh.global_bits(3))
-                for sh in SharedRandomness.enumerate_all(3)}
-        assert len(seen) == 8
+    def test_seed_matrix_covers_space(self):
+        matrix = SharedRandomness.seed_matrix(3)
+        assert matrix.shape == (8, 3) and matrix.dtype == np.uint8
+        assert len({tuple(row) for row in matrix.tolist()}) == 8
+        for r, row in enumerate(matrix.tolist()):
+            assert row == [(r >> i) & 1 for i in range(3)]
+        assert not matrix.flags.writeable
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 1
+        with pytest.raises(ConfigurationError):
+            SharedRandomness.seed_matrix(0)
 
     def test_expand_kwise_requires_enough_bits(self):
         s = SharedRandomness(4, seed=1)

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.derandomization import (
@@ -89,12 +90,18 @@ class TestSinkless:
         assert not is_sinkless(dense40, orientation)
 
 
+def _scalar_run(inst, shared):
+    """The splitting algorithm on one seed, read through ``global_bit``."""
+    coloring = {x: shared.global_bit(x % shared.seed_bits)
+                for x in inst.v_side}
+    return inst.is_satisfied(coloring)
+
+
 class TestExhaustiveDerandomization:
     @staticmethod
-    def _run(inst, shared):
-        coloring = {x: shared.global_bit(x % shared.seed_bits)
-                    for x in inst.v_side}
-        return inst.is_satisfied(coloring)
+    def _run(inst, seeds):
+        return inst.satisfied_by(
+            seeds[:, [x % seeds.shape[1] for x in inst.v_side]])
 
     def test_finds_good_seed(self):
         instances = [random_instance(8, 16, 8, seed=s) for s in range(5)]
@@ -104,7 +111,7 @@ class TestExhaustiveDerandomization:
         # Replaying the good seed must succeed everywhere.
         from repro.randomness import SharedRandomness
         shared = SharedRandomness(8, explicit_bits=result.good_seed)
-        assert all(self._run(inst, shared) for inst in instances)
+        assert all(_scalar_run(inst, shared) for inst in instances)
 
     def test_failure_when_error_too_large(self):
         # With 1 shared bit, all of V gets one color: guaranteed failure.
@@ -131,6 +138,17 @@ class TestExhaustiveDerandomization:
         with pytest.raises(ConfigurationError):
             exhaustive_derandomize(
                 self._run, [random_instance(4, 8, 4, seed=1)], seed_bits=30)
+
+    @pytest.mark.parametrize("bad_run", [
+        lambda inst, seeds: np.ones(len(seeds) - 1, dtype=bool),
+        lambda inst, seeds: np.ones((len(seeds), 1), dtype=bool),
+        lambda inst, seeds: np.ones(len(seeds), dtype=np.uint8),
+        lambda inst, seeds: True,
+    ], ids=["short", "column", "uint8", "scalar"])
+    def test_rejects_run_output_of_wrong_shape_or_dtype(self, bad_run):
+        with pytest.raises(ConfigurationError, match="bool array of shape"):
+            exhaustive_derandomize(
+                bad_run, [random_instance(4, 8, 4, seed=1)], seed_bits=4)
 
 
 class TestLieAboutN:
