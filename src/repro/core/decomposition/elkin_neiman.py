@@ -24,10 +24,18 @@ Distances are measured through *live* nodes only (removed nodes no
 longer relay), which is what a message-passing implementation measures
 and what makes the connectivity argument self-contained.
 
-The implementation is *orchestrated* (DESIGN.md Section 5): each phase
-is a bounded multi-source BFS carrying the top-two (value, center)
-pairs, exactly the O(log n)-bit messages of the CONGEST implementation;
-rounds are accounted as ``phases * (cap + 2)``.
+The implementation is *orchestrated* (DESIGN.md Section 5). In CONGEST
+each phase is a bounded multi-source BFS carrying the top-two (value,
+center) pairs, O(log n)-bit messages; rounds are accounted as
+``phases * (cap + 2)``. The simulation computes the same top-two values
+in one bit-parallel BFS from every live center with r > 0
+(:func:`~repro.sim.batch.csr.multi_source_distances`, cut off at the
+largest radius): ``values = r[:, None] - D`` is valid where
+``0 <= D <= r``, and per node it takes the best value m1, its argmax
+center and the second value. A node joins iff
+``m1 >= 0 and m1 - max(second, 0) > 1``. No tie-break between centers
+is needed: ``m1 == m2`` never joins, so the argmax is unique whenever a
+node joins, and only the second entry's *value* is ever read.
 """
 
 from __future__ import annotations
@@ -36,9 +44,11 @@ import math
 from typing import Callable, Dict, Hashable, List, Optional, Set, Tuple
 
 import networkx as nx
+import numpy as np
 
 from ...errors import ConfigurationError
 from ...randomness.source import RandomSource
+from ...sim.batch.csr import multi_source_distances, nx_to_csr
 from ...sim.graph import DistributedGraph
 from ...sim.metrics import RunReport
 from ...structures import Decomposition
@@ -61,6 +71,7 @@ def en_phases_on_nx(
     cap: int,
     draw_radii: Optional[Callable[[List[Hashable], int],
                                   Dict[Hashable, int]]] = None,
+    min_gap: int = 1,
 ) -> Tuple[Dict[Hashable, Tuple[int, Hashable]], Set[Hashable]]:
     """Run the phase loop on an arbitrary networkx graph.
 
@@ -71,6 +82,8 @@ def en_phases_on_nx(
     whole phase's shifts in one bulk call (same values — each node's
     draw is a pure function of its stream — with the sampler's
     validation and dispatch paid once per phase instead of per node).
+    A node joins when ``m1 - m2 > min_gap``: 1 is the paper's gap rule,
+    0 the ablated rule of :func:`repro.analysis.ablations.a1_gap_rule`.
 
     Returns ``(assignment, remaining)`` where assignment maps a node to
     ``(phase_color, center)`` and ``remaining`` holds nodes unclustered
@@ -78,77 +91,67 @@ def en_phases_on_nx(
     """
     if phases < 1 or cap < 1:
         raise ConfigurationError("phases and cap must be >= 1")
+    if min_gap < 0:
+        raise ConfigurationError(f"min_gap must be >= 0, got {min_gap}")
+    offsets, indices, labels = nx_to_csr(graph)
+    index_of = {label: i for i, label in enumerate(labels)}
+    alive = np.ones(len(labels), dtype=bool)
     live: Set[Hashable] = set(graph.nodes())
     assignment: Dict[Hashable, Tuple[int, Hashable]] = {}
     for phase in range(phases):
         if not live:
             break
+        order = list(live)
         if draw_radii is not None:
-            radii = draw_radii(list(live), phase)
+            radii = draw_radii(order, phase)
         else:
             radii = {v: draw_radius(v, phase) for v in live}
-        best = _top_two_shifted(graph, live, radii)
-        newly: List[Hashable] = []
-        for u in live:
-            entries = best.get(u, [])
-            if not entries:
-                continue
-            m1, center = entries[0]
-            m2 = entries[1][0] if len(entries) > 1 else 0
-            if m1 - m2 > 1:
-                assignment[u] = (phase, center)
-                newly.append(u)
+        at = np.fromiter((index_of[v] for v in order), dtype=np.int64,
+                         count=len(order))
+        r = np.fromiter((radii[v] for v in order), dtype=np.int64,
+                        count=len(order))
+        # A center with r <= 0 reaches nobody, not even itself.
+        shifting = r > 0
+        if not shifting.any():
+            continue
+        centers = at[shifting]
+        m1, best, second = shifted_top_two(offsets, indices, centers,
+                                           r[shifting], alive)
+        m1, best, second = m1[at], best[at], second[at]
+        joins = np.flatnonzero(
+            (m1 >= 0) & (m1 - np.maximum(second, 0) > min_gap))
+        newly = [order[i] for i in joins.tolist()]
+        for u, center in zip(newly, centers[best[joins]].tolist()):
+            assignment[u] = (phase, labels[center])
+        alive[at[joins]] = False
         live.difference_update(newly)
     return assignment, live
 
 
-def _top_two_shifted(
-    graph: nx.Graph,
-    live: Set[Hashable],
-    radii: Dict[Hashable, int],
-) -> Dict[Hashable, List[Tuple[int, Hashable]]]:
-    """For every live node, the two best (r_v - d(v, u), v) pairs.
+def shifted_top_two(offsets: np.ndarray, indices: np.ndarray,
+                    centers: np.ndarray, radii: np.ndarray,
+                    alive: np.ndarray
+                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per node, the best and second-best ``r_c - d(c, u)`` over centers c.
 
-    Bounded BFS from each live center through live nodes only; a center's
-    influence dies when its shifted value drops below 0. Ties between
-    centers are broken by a stable key so reruns are deterministic
-    (the gap criterion makes the tie-break semantically irrelevant:
-    m1 == m2 never clusters).
+    Center c reaches u when ``0 <= d(c, u) <= r_c`` with distances
+    through ``alive`` nodes only (one bit-parallel BFS for all centers,
+    cut off at the largest radius). Returns ``(m1, best, second)``
+    arrays over all nodes: the best value (-1 where no center reaches
+    the node), the row in ``centers`` attaining it, and the second value
+    (-1 where fewer than two centers reach). Only the second *value* is
+    returned: the gap rule never clusters when ``m1 == m2``, so the
+    argmax is unique whenever it is used and no tie-break is needed.
     """
-    best: Dict[Hashable, List[Tuple[int, Hashable]]] = {}
-
-    def offer(u: Hashable, value: int, center: Hashable) -> None:
-        entries = best.setdefault(u, [])
-        for i, (val, c) in enumerate(entries):
-            if c == center:
-                if value > val:
-                    entries[i] = (value, center)
-                    entries.sort(key=lambda e: (-e[0], repr(e[1])))
-                return
-        entries.append((value, center))
-        entries.sort(key=lambda e: (-e[0], repr(e[1])))
-        del entries[2:]
-
-    for center in live:
-        r = radii[center]
-        if r <= 0:
-            continue
-        # BFS truncated at depth r: value r - d stays >= 0.
-        dist: Dict[Hashable, int] = {center: 0}
-        frontier = [center]
-        offer(center, r, center)
-        depth = 0
-        while frontier and depth < r:
-            depth += 1
-            nxt: List[Hashable] = []
-            for x in frontier:
-                for y in graph.neighbors(x):
-                    if y in live and y not in dist:
-                        dist[y] = depth
-                        nxt.append(y)
-                        offer(y, r - depth, center)
-            frontier = nxt
-    return best
+    dist = multi_source_distances(offsets, indices, centers,
+                                  cutoff=int(radii.max()), alive=alive)
+    values = radii[:, None] - dist
+    values[(dist < 0) | (values < 0)] = -1
+    best = values.argmax(axis=0)
+    nodes = np.arange(values.shape[1])
+    m1 = values[best, nodes]
+    values[best, nodes] = -1
+    return m1, best, values.max(axis=0)
 
 
 def elkin_neiman(

@@ -25,7 +25,9 @@ only the poly(log n)-bit shared seed — no private randomness at all.
 
 Messages: per epoch a bounded multi-source BFS carrying the top-two
 (value, center-UID) pairs — O(log n) bits per message, CONGEST-legal;
-rounds are accounted per DESIGN.md Section 5.
+rounds are accounted per DESIGN.md Section 5. The simulation computes
+the same top-two values with :func:`~.elkin_neiman.shifted_top_two`
+(one bit-parallel BFS for all centers of an epoch).
 """
 
 from __future__ import annotations
@@ -33,12 +35,15 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
+import numpy as np
+
 from ...errors import ConfigurationError
 from ...randomness.shared import SharedRandomness
 from ...randomness.source import pack_bits
 from ...sim.graph import DistributedGraph
 from ...sim.metrics import RunReport
 from ...structures import Decomposition
+from .elkin_neiman import shifted_top_two
 
 #: Bits per Bernoulli center election (a 16-bit threshold comparison).
 ELECTION_BITS = 16
@@ -74,6 +79,7 @@ def phase_epoch_decomposition(
     members_of: Dict[int, Set[int]] = {}
     phase_log: List[Dict[str, int]] = []
     phases_run = 0
+    offsets, indices = graph.csr_arrays()
 
     for phase in range(max_phases):
         if not live:
@@ -90,16 +96,22 @@ def phase_epoch_decomposition(
             if not centers:
                 continue
             radii = {u: base + radius_draw(u, phase, epoch) for u in centers}
-            best = _top_two(graph, available, radii)
+            mask = np.zeros(graph.n, dtype=bool)
+            mask[list(available)] = True
+            center_at = np.fromiter(radii, dtype=np.int64, count=len(radii))
+            m1, best, second = shifted_top_two(
+                offsets, indices, center_at,
+                np.fromiter(radii.values(), dtype=np.int64, count=len(radii)),
+                mask)
+            reached = (m1 >= 0).tolist()
+            joins = (m1 - np.maximum(second, 0) > 1).tolist()
+            center_of = center_at[best].tolist()
             joined: Dict[int, int] = {}
             for v in available:
-                entries = best.get(v)
-                if not entries:
+                if not reached[v]:
                     continue
-                m1, center = entries[0]
-                m2 = entries[1][0] if len(entries) > 1 else 0
-                if m1 - m2 > 1:
-                    joined[v] = center
+                if joins[v]:
+                    joined[v] = center_of[v]
                 else:
                     set_aside.add(v)
             for v in set_aside:
@@ -153,41 +165,6 @@ def phase_epoch_decomposition(
     decomposition = Decomposition(cluster_of=cluster_of, color_of=color_of,
                                   trees=trees).normalize_colors()
     return decomposition, report, extra
-
-
-def _top_two(graph: DistributedGraph, available: Set[int],
-             radii: Dict[int, int]) -> Dict[int, List[Tuple[int, int]]]:
-    """Top-two shifted values via truncated BFS through available nodes."""
-    best: Dict[int, List[Tuple[int, int]]] = {}
-
-    def offer(v: int, value: int, center: int) -> None:
-        entries = best.setdefault(v, [])
-        for i, (val, c) in enumerate(entries):
-            if c == center:
-                if value > val:
-                    entries[i] = (value, center)
-                    entries.sort(key=lambda e: (-e[0], graph.uid(e[1])))
-                return
-        entries.append((value, center))
-        entries.sort(key=lambda e: (-e[0], graph.uid(e[1])))
-        del entries[2:]
-
-    for center, reach in radii.items():
-        dist = {center: 0}
-        frontier = [center]
-        offer(center, reach, center)
-        depth = 0
-        while frontier and depth < reach:
-            depth += 1
-            nxt: List[int] = []
-            for x in frontier:
-                for y in graph.neighbors(x):
-                    if y in available and y not in dist:
-                        dist[y] = depth
-                        nxt.append(y)
-                        offer(y, reach - depth, center)
-            frontier = nxt
-    return best
 
 
 def _spanning_tree_edges(graph: DistributedGraph, members: Set[int],

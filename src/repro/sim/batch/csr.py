@@ -70,6 +70,67 @@ def bfs_distances(offsets: np.ndarray, indices: np.ndarray, source: int,
     return dist
 
 
+def multi_source_distances(offsets: np.ndarray, indices: np.ndarray,
+                           sources, cutoff: Optional[int] = None,
+                           alive: Optional[np.ndarray] = None) -> np.ndarray:
+    """Hop distances from every node of ``sources`` at once.
+
+    Returns an ``int32[len(sources), n]`` array; row i holds the
+    distances from ``sources[i]``, with -1 for nodes unreached (because
+    of disconnection, the ``cutoff``, or ``alive``). With a boolean
+    ``alive`` mask only alive nodes relay and are reached; a source
+    outside it still has distance 0 to itself but reaches nothing else.
+
+    The search is bit-parallel: each node's frontier is a row of uint64
+    words with one bit per source, so one ``bitwise_or.reduceat`` of the
+    gathered neighbor rows advances every source by one level at
+    O(m * len(sources) / 64) word operations. Nodes of degree 0 are left
+    out of the reduce (``reduceat`` would read a neighbor row for them).
+    Use :func:`bfs_distances` for a single source, where frontier-sized
+    work beats O(m) per level.
+    """
+    n = offsets.size - 1
+    sources = np.asarray(sources, dtype=np.int64)
+    count = sources.size
+    if not count:
+        return np.empty((0, n), dtype=np.int32)
+    column = np.arange(count)
+    dist = np.full((n, count), -1, dtype=np.int32)
+    dist[sources, column] = 0
+    seeds = np.zeros((n, 64 * ((count + 63) // 64)), dtype=bool)
+    seeds[sources, column] = True
+    frontier = np.packbits(seeds, axis=1, bitorder="little").view("<u8")
+    # Nodes a search may still enter; dead nodes are never entered.
+    unvisited = ~frontier
+    if alive is not None:
+        dead = ~np.asarray(alive, dtype=bool)
+        frontier[dead] = 0
+        unvisited[dead] = 0
+    relays = np.diff(offsets) > 0
+    starts = offsets[:-1][relays]
+    depth = 0
+    while starts.size and (cutoff is None or depth < cutoff):
+        gathered = np.bitwise_or.reduceat(frontier[indices], starts, axis=0)
+        if starts.size == n:
+            nxt = gathered
+        else:
+            nxt = np.zeros_like(frontier)
+            nxt[relays] = gathered
+        nxt &= unvisited
+        rows = np.flatnonzero(nxt.any(axis=1))
+        if not rows.size:
+            break
+        depth += 1
+        unvisited ^= nxt
+        bits = np.unpackbits(nxt[rows].view(np.uint8), axis=1,
+                             bitorder="little")[:, :count].view(bool)
+        block = dist[rows]
+        block[bits] = depth
+        dist[rows] = block
+        frontier = nxt
+    return np.ascontiguousarray(dist.T)
+
+
 def adjacency_to_csr(neighbor_lists: Sequence[Sequence[int]]
                      ) -> Tuple[np.ndarray, np.ndarray]:
     """Flatten index-keyed neighbor lists into (offsets, indices) arrays."""

@@ -107,7 +107,7 @@ class DistributedGraph:
     # ------------------------------------------------------------------
     # Distance helpers (used by orchestrated algorithms and checkers)
     # ------------------------------------------------------------------
-    def _csr(self) -> Tuple[np.ndarray, np.ndarray]:
+    def csr_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """Lazily frozen (offsets, indices) CSR arrays for BFS queries.
 
         The topology is treated as immutable after construction (the
@@ -122,7 +122,7 @@ class DistributedGraph:
     def bfs_distances(self, v: int, cutoff: Optional[int] = None) -> np.ndarray:
         """Distances from ``v`` (int64, -1 = unreached / beyond cutoff)."""
         from .batch.csr import bfs_distances
-        offsets, indices = self._csr()
+        offsets, indices = self.csr_arrays()
         return bfs_distances(offsets, indices, v, cutoff)
 
     def ball(self, v: int, radius: int) -> Dict[int, int]:
@@ -148,27 +148,34 @@ class DistributedGraph:
         return self.nx.subgraph(list(nodes)).copy()
 
     def subgraph_diameter(self, nodes: Iterable[int]) -> int:
-        """Diameter of the induced subgraph (must be connected)."""
-        sub = self.induced(nodes)
-        if sub.number_of_nodes() <= 1:
-            return 0
-        return max(
-            max(lengths.values())
-            for _, lengths in nx.all_pairs_shortest_path_length(sub)
-        )
+        """Diameter of the induced subgraph G[nodes] (the strong diameter).
+
+        Raises :class:`ConfigurationError` when G[nodes] is disconnected.
+        """
+        members = np.unique(np.fromiter(nodes, dtype=np.int64))
+        alive = np.zeros(self.n, dtype=bool)
+        alive[members] = True
+        return self._diameter_among(
+            members, alive, "strong diameter undefined: G[nodes] is disconnected")
 
     def weak_diameter(self, nodes: Iterable[int]) -> int:
         """Max distance *in G* between any two of the given nodes."""
-        members = np.fromiter(nodes, dtype=np.int64)
-        best = 0
-        for v in members.tolist():
-            lengths = self.bfs_distances(v)[members]
-            if np.any(lengths < 0):
-                raise ConfigurationError(
-                    "weak diameter undefined: nodes in different components"
-                )
-            best = max(best, int(lengths.max()))
-        return best
+        members = np.unique(np.fromiter(nodes, dtype=np.int64))
+        return self._diameter_among(
+            members, None, "weak diameter undefined: nodes in different components")
+
+    def _diameter_among(self, members: np.ndarray,
+                        alive: Optional[np.ndarray], undefined: str) -> int:
+        """Max pairwise distance of ``members``, relaying through ``alive``."""
+        if members.size <= 1:
+            return 0
+        from .batch.csr import multi_source_distances
+        offsets, indices = self.csr_arrays()
+        lengths = multi_source_distances(offsets, indices, members,
+                                         alive=alive)[:, members]
+        if np.any(lengths < 0):
+            raise ConfigurationError(undefined)
+        return int(lengths.max())
 
     def power_graph(self, r: int) -> "DistributedGraph":
         """The r-th power G^r (edges between nodes at distance <= r).

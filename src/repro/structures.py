@@ -71,10 +71,10 @@ class Decomposition:
         """Max diameter of G[C] over clusters C (inf -> n as sentinel)."""
         worst = 0
         for members in self.clusters().values():
-            sub = graph.induced(members)
-            if not nx.is_connected(sub):
+            try:
+                worst = max(worst, graph.subgraph_diameter(members))
+            except ConfigurationError:
                 return graph.n  # disconnected cluster: strong diameter is broken
-            worst = max(worst, self._diameter(sub))
         return worst
 
     def max_weak_diameter(self, graph: DistributedGraph) -> int:

@@ -91,6 +91,13 @@ class TestTopology:
         assert g.subgraph_diameter([2, 3, 4]) == 2
         assert g.subgraph_diameter([5]) == 0
 
+    def test_subgraph_diameter_rejects_disconnected_set(self):
+        g = DistributedGraph(nx.cycle_graph(8))
+        # {0, 4} is at distance 4 in G but disconnected in G[{0, 4}].
+        with pytest.raises(ConfigurationError):
+            g.subgraph_diameter([0, 4])
+        assert g.subgraph_diameter([0, 1, 2, 3, 4]) == 4
+
     def test_weak_diameter_uses_g_distances(self):
         g = DistributedGraph(nx.cycle_graph(8))
         # 0 and 4 are opposite; weak diameter through G is 4 even though

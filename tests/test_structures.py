@@ -62,6 +62,22 @@ class TestDecomposition:
         assert d.max_weak_diameter(cycle12) >= 6
         assert d.max_strong_diameter(cycle12) == cycle12.n  # sentinel
 
+    def test_strong_diameter_is_the_worst_cluster_subgraph_diameter(
+            self, cycle12):
+        d = three_blocks(cycle12)
+        assert d.max_strong_diameter(cycle12) == max(
+            cycle12.subgraph_diameter(m) for m in d.clusters().values())
+
+    def test_strong_diameter_sentinel_for_disconnected_cluster(self, cycle12):
+        # Arcs {0..5}, {7} and {9, 10, 11}, plus {6, 8}, split by node 7.
+        cluster_of = {v: 0 for v in range(6)}
+        cluster_of.update({6: 1, 8: 1, 7: 2, 9: 3, 10: 3, 11: 3})
+        d = Decomposition(cluster_of=cluster_of,
+                          color_of={0: 0, 1: 1, 2: 0, 3: 2})
+        with pytest.raises(ConfigurationError):
+            cycle12.subgraph_diameter([6, 8])
+        assert d.max_strong_diameter(cycle12) == cycle12.n
+
     def test_color_of_node(self, cycle12):
         d = three_blocks(cycle12)
         assert d.color_of_node(0) == 0
