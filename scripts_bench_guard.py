@@ -2,16 +2,19 @@
 
 Compares the newest entry of each ``BENCH_*.json`` produced by a local
 benchmark run against the newest entry committed at ``HEAD`` (read via
-``git show``), workload by workload. A speedup that dropped by more than
-``--threshold`` (default 25%) prints a loud warning — but the script
-always exits 0 unless invoked with ``--strict``: benchmark numbers are
-machine- and load-dependent, so a regression is a signal for a human,
-not a gate for a bot. The CI benchmarks job runs this after its tiny
-smoke so drift is visible in the job log.
+``git show``) with the same ``tiny`` flag, workload by workload: a tiny
+smoke and a full run measure different sizes, so they are never
+compared. When no such baseline exists or no workload name is shared,
+the guard says that nothing was comparable. A speedup that dropped by
+more than ``--threshold`` (default 25%) prints a loud warning — but
+the script always exits 0 unless invoked with ``--strict``: benchmark
+numbers are machine- and load-dependent, so a regression is a signal
+for a human, not a gate for a bot. The CI benchmarks job runs this
+after its tiny smoke so drift is visible in the job log.
 
-Parity flags are different. Benchmarks record cross-engine and
-cross-format *equality* checks into their entries (``parity`` booleans
-at the entry level and per workload) before any speedup assertion runs.
+Parity flags are different. Benchmarks record cross-engine *equality*
+checks into their entries (``parity`` booleans at the entry level and
+per workload) before any speedup assertion runs.
 Unlike timings, an equality violation is machine-independent — it means
 two code paths disagree about a deterministic computation — so
 ``--strict-parity`` (the CI benchmarks job passes it) fails the run on
@@ -36,13 +39,24 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent
 
-DEFAULT_FILES = ("BENCH_ARRAY.json", "BENCH_NATIVE.json", "BENCH_STORE.json")
+DEFAULT_FILES = ("BENCH_ARRAY.json", "BENCH_NATIVE.json")
 
 
 def latest_entry(payload):
     """The newest benchmark entry of a BENCH_*.json list (or None)."""
     if isinstance(payload, list) and payload:
         return payload[-1]
+    return None
+
+
+def matching_baseline(payload, fresh: dict):
+    """The newest entry of ``payload`` with ``fresh``'s ``tiny`` flag, or None."""
+    if not isinstance(payload, list):
+        return None
+    tiny = bool(fresh.get("tiny"))
+    for entry in reversed(payload):
+        if isinstance(entry, dict) and bool(entry.get("tiny")) == tiny:
+            return entry
     return None
 
 
@@ -66,10 +80,9 @@ def parity_violations(entry: dict):
     """Yield (where, flag) for every false parity boolean in an entry.
 
     Benchmarks record equality checks in two shapes: an entry-level
-    ``parity`` dict of named booleans (cross-format store checks) and a
-    per-workload ``parity`` boolean (cross-engine output identity).
-    True flags and absent flags are fine; only an explicit False is a
-    violation.
+    ``parity`` dict of named booleans and a per-workload ``parity``
+    boolean (cross-engine output identity). True flags and absent flags
+    are fine; only an explicit False is a violation.
     """
     for flag, value in sorted(entry.get("parity", {}).items()):
         if value is False:
@@ -79,20 +92,25 @@ def parity_violations(entry: dict):
             yield workload, "parity"
 
 
-def compare_entries(name: str, baseline: dict, fresh: dict, threshold: float):
-    """Yield (workload, old speedup, new speedup) regressions."""
+def compare_entries(baseline: dict, fresh: dict, threshold: float):
+    """``(compared, regressions)`` over the workloads both entries timed.
+
+    ``compared`` names every workload with a speedup in both entries;
+    ``regressions`` lists ``(workload, old speedup, new speedup)`` for
+    those whose speedup dropped by more than ``threshold``.
+    """
     base_workloads = baseline.get("workloads", {})
     fresh_workloads = fresh.get("workloads", {})
+    compared, regressions = [], []
     for workload, base_row in sorted(base_workloads.items()):
-        fresh_row = fresh_workloads.get(workload)
-        if fresh_row is None:
-            continue  # profiles differ (tiny vs full); nothing comparable
         old = base_row.get("speedup")
-        new = fresh_row.get("speedup")
+        new = fresh_workloads.get(workload, {}).get("speedup")
         if not old or not new:
             continue
+        compared.append(workload)
         if new < old * (1.0 - threshold):
-            yield workload, old, new
+            regressions.append((workload, old, new))
+    return compared, regressions
 
 
 def main(argv=None) -> int:
@@ -150,17 +168,29 @@ def main(argv=None) -> int:
                     f"{flag} is false — two code paths disagree about a "
                     f"deterministic computation"
                 )
-        baseline = latest_entry(committed_payload(name))
+        tiny = bool(fresh.get("tiny"))
+        baseline = matching_baseline(committed_payload(name), fresh)
         if baseline is None:
-            print(f"[bench-guard] {name}: no committed baseline, skipping")
+            print(
+                f"[bench-guard] {name}: nothing comparable — no committed "
+                f"entry with tiny={tiny}"
+            )
             continue
-        if fresh is baseline or fresh == baseline:
+        if fresh == baseline:
             print(f"[bench-guard] {name}: fresh entry identical to HEAD, skipping")
             continue
-        found = list(compare_entries(name, baseline, fresh, args.threshold))
-        if not found:
+        compared, found = compare_entries(baseline, fresh, args.threshold)
+        if not compared:
+            print(
+                f"[bench-guard] {name}: nothing comparable — no workload "
+                f"shared with the committed tiny={tiny} entry"
+            )
+        elif not found:
             drop = f"{args.threshold:.0%}"
-            print(f"[bench-guard] {name}: no speedup regression beyond {drop}")
+            print(
+                f"[bench-guard] {name}: no speedup regression beyond {drop} "
+                f"on {len(compared)} workload(s)"
+            )
         for workload, old, new in found:
             regressions.append(name)
             print(

@@ -24,16 +24,11 @@ Usage::
     PYTHONPATH=src python scripts_run_experiments.py --store runs/full \\
         --merge runs/h0 runs/h1                                    # combine
 
-``--store-format columnar`` sweeps straight into the packed-column
-analytics layout, ``--compact DEST`` migrates a finished store into the
-other layout (verified record-for-record), and ``--query FIELD=VALUE...``
-answers filtered aggregates without a full parse (README "Columnar
-store")::
+``--query FIELD=VALUE...`` prints per-cell aggregates of the stored
+trials that match every filter::
 
-    PYTHONPATH=src python scripts_run_experiments.py --store runs/full \\
-        --compact runs/full.col                                    # migrate
     PYTHONPATH=src python scripts_run_experiments.py \\
-        --store runs/full.col --query family=cycle n=64            # query
+        --store runs/full --query family=cycle n=64                # query
 
 Coordinated sweeps replace the manual shard bookkeeping: one
 ``--coordinator`` process leases work units to any number of

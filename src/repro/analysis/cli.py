@@ -26,14 +26,7 @@ Durable sweeps (see README "Durable sweep store")::
         --shard-index 0 --shard-count 2                      # host 0 slice
     python -m repro.analysis --store runs/full --merge runs/h0 runs/h1
     python -m repro.analysis --store runs/full --list        # store contents
-
-Columnar analytics (README "Columnar store"): migrate a finished JSONL
-store into packed numpy columns, or sweep straight into them, and
-answer single-cell questions without parsing everything::
-
-    python -m repro.analysis --store runs/full --compact runs/full.col
-    python -m repro.analysis --store runs/full.col --query family=cycle n=64
-    python -m repro.analysis --full --store runs/col --store-format columnar
+    python -m repro.analysis --store runs/full --query family=cycle n=64
 
 Coordinated sweeps (see README "Distributed sweeps") replace the manual
 shard-index bookkeeping with dynamically leased work units::
@@ -69,25 +62,13 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from ..errors import ConfigurationError
 from ..scenarios import ScenarioSpec, available, scenario_from_arg
-from ..sim.batch import (
-    ColumnarStore,
-    TrialStore,
-    aggregate,
-    compact,
-    decompact,
-    merge_stores,
-    open_store,
-    select_results,
-)
+from ..sim.batch import TrialStore, aggregate, merge_stores, select_results
 from .ablations import ABLATIONS
 from .coordinated import add_coordination_arguments, run_coordination
 from .experiments import EXPERIMENTS, SWEEPING
 from .tables import Table, scenario_table
 
-#: Either on-disk trial store layout (see README "Durable sweep store").
-Store = Union[TrialStore, ColumnarStore]
-
-#: Spec fields --query can filter on (column-wise on a columnar store).
+#: Spec fields --query can filter on.
 QUERY_FIELDS = ("task", "family", "n", "seed")
 
 
@@ -116,27 +97,13 @@ def add_store_arguments(parser: argparse.ArgumentParser) -> None:
                         help="number of deterministic grid slices (hosts)")
     parser.add_argument("--merge", nargs="+", metavar="SRC", default=None,
                         help="merge these store directories into --store "
-                             "and exit (either layout on either side; "
-                             "formats are auto-detected)")
-    parser.add_argument("--store-format", choices=("jsonl", "columnar"),
-                        default=None,
-                        help="on-disk layout of --store: jsonl (row-wise "
-                             "shards, the durable ingest default) or "
-                             "columnar (packed numpy columns for "
-                             "million-trial analytics). Default: "
-                             "auto-detect an existing store, else jsonl")
-    parser.add_argument("--compact", metavar="DEST", default=None,
-                        help="migrate --store into DEST in the other "
-                             "layout (jsonl -> columnar compaction, "
-                             "columnar -> jsonl decompaction), verify the "
-                             "round trip record-for-record, and exit")
+                             "and exit")
     parser.add_argument("--query", nargs="+", metavar="FIELD=VALUE",
                         default=None,
                         help="query --store and exit: filter by any of "
                              f"{', '.join(QUERY_FIELDS)} (e.g. --query "
                              "family=cycle n=16) and print matching-trial "
-                             "counts plus per-cell aggregates; a columnar "
-                             "store answers from the filter columns alone")
+                             "counts plus per-cell aggregates")
     parser.add_argument("--graph-cache", metavar="DIR", default=None,
                         help="content-addressed on-disk cache of frozen "
                              "graph topologies (CSR), shared across sweeps; "
@@ -212,7 +179,7 @@ def run_scenario_locally(
 
 def resolve_store_arguments(
         args: argparse.Namespace,
-) -> Tuple[Optional[Store], Optional[Tuple[int, int]]]:
+) -> Tuple[Optional[TrialStore], Optional[Tuple[int, int]]]:
     """Validate the flag combinations; open the store; build the shard pair.
 
     Also exports ``--graph-cache`` as ``$REPRO_GRAPH_CACHE`` so worker
@@ -237,7 +204,6 @@ def resolve_store_arguments(
                                      "--store (the slice must be persisted "
                                      "for a later merge)")
     exclusive = [flag for flag, value in (("--merge", args.merge),
-                                          ("--compact", args.compact),
                                           ("--query", args.query))
                  if value is not None]
     if len(exclusive) > 1:
@@ -251,8 +217,15 @@ def resolve_store_arguments(
         raise ConfigurationError(
             f"{exclusive[0]} and --shard-index/--shard-count conflict: "
             f"store commands operate on whole stores, not grid slices")
-    store = (open_store(args.store, args.store_format)
-             if args.store is not None else None)
+    read_only = args.query is not None or (args.list and args.merge is None)
+    if (read_only and args.store is not None
+            and not os.path.isdir(args.store)):
+        # Opening would create an empty store at a mistyped path and
+        # report "0 of 0 result(s)" as if the query had succeeded.
+        raise ConfigurationError(
+            f"--store {args.store!r} does not exist; --query and --list "
+            f"read an existing store")
+    store = TrialStore(args.store) if args.store is not None else None
     return store, shard
 
 
@@ -279,19 +252,8 @@ def parse_query_filters(terms: List[str]) -> Dict[str, Union[str, int]]:
 
 
 def run_store_commands(args: argparse.Namespace,
-                       store: Optional[Store]) -> Optional[int]:
-    """Handle --compact, --merge, --query, --store --list; None: keep going."""
-    if args.compact is not None:
-        if isinstance(store, ColumnarStore):
-            direction = "columnar -> jsonl"
-            dest = decompact(store, args.compact, verify=True)
-        else:
-            direction = "jsonl -> columnar"
-            dest = compact(store, args.compact, verify=True)
-        dest.close()
-        print(f"compacted {len(store)} result(s) ({direction}) from "
-              f"{store.root} into {args.compact}; round trip verified")
-        return 0
+                       store: Optional[TrialStore]) -> Optional[int]:
+    """Handle --merge, --query, --store --list; None: keep going."""
     if args.merge is not None:
         stats = merge_stores(store, args.merge)
         print(f"merged {len(args.merge)} store(s) into {store.root}: "
@@ -299,11 +261,7 @@ def run_store_commands(args: argparse.Namespace,
         return 0
     if args.query is not None:
         filters = parse_query_filters(args.query)
-        if isinstance(store, ColumnarStore):
-            rows = store.aggregate(by=("family", "n"), **filters)
-        else:
-            rows = aggregate(select_results(store, **filters),
-                             by=("family", "n"))
+        rows = aggregate(select_results(store, **filters), by=("family", "n"))
         matched = sum(row["trials"] for row in rows)
         label = " ".join(args.query)
         print(f"{matched} of {len(store)} result(s) match: {label}")

@@ -55,7 +55,6 @@ from ..sim.batch import (
     TrialStore,
     WorkUnit,
     merge_pushed,
-    open_store,
     pushed_store_dirs,
     run_worker,
     wait_until_done,
@@ -361,10 +360,10 @@ def run_coordination(
             "--merge is the manual flow; the coordinator merges pushed "
             "stores itself — drop it"
         )
-    if args.compact is not None or args.query is not None:
+    if args.query is not None:
         raise ConfigurationError(
-            "--compact/--query are offline store commands; run them "
-            "against --store without --coordinator/--worker"
+            "--query is an offline store command; run it against --store "
+            "without --coordinator/--worker"
         )
     if args.worker is not None:
         if args.resume:
@@ -547,9 +546,7 @@ def run_coordinator_mode(
         # matter what order worker pushes arrived in — or which units
         # the fleet could not finish (the quarantine report above names
         # them; their results exist thanks to the local backfill).
-        # Staging and worker scratch stay JSONL (the ingest format);
-        # --store-format only decides the final store's layout.
-        final = open_store(args.store, getattr(args, "store_format", None))
+        final = TrialStore(args.store)
         layered = ReadThroughStore(final, staging_store)
         if scenario is not None:
             results = scenario.run(workers=args.workers, store=layered)

@@ -19,10 +19,7 @@ no per-seed sweep and accept ``workers`` only for interface
 uniformity (they run serially regardless).
 
 Every driver also accepts ``store`` (a
-:class:`~repro.sim.batch.TrialStore` or the columnar
-:class:`~repro.sim.batch.ColumnarStore` — both speak the same
-``get``/``put`` cache protocol, so pinned tables regenerate
-identically from either layout) and ``shard`` (``(index,
+:class:`~repro.sim.batch.TrialStore`) and ``shard`` (``(index,
 count)``), threaded through to every ``run_trials`` call: with a store
 the sweeps are checkpointed per trial, so a killed full-profile
 regeneration resumes per-table from partial results; with a shard each
@@ -46,7 +43,7 @@ experiments kind), and :func:`run_all` is now a thin wrapper over it.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core import (
     deterministic_orientation,
@@ -81,15 +78,12 @@ from ..scenarios import (
     register_task,
     sweep_scenario,
 )
-from ..sim.batch import ColumnarStore, TrialResult, TrialSpec, TrialStore
+from ..sim.batch import TrialResult, TrialSpec, TrialStore
 from .stats import log2_or_floor, success_rate, wilson_interval
 from .tables import Table
 
 #: run_trials sharding: (shard index, shard count) or None.
 Shard = Optional[Tuple[int, int]]
-
-#: Either trial-store layout (same cache protocol; see colstore).
-Store = Optional[Union[TrialStore, ColumnarStore]]
 
 #: run_trials per-trial completion hook (fresh computations only), or
 #: None. Coordinated workers pass a lease-renewal callback here
@@ -145,7 +139,7 @@ def _e01_plan(quick: bool, seed: int) -> List[ScenarioSpec]:
 
 def e01_sparse_bits(quick: bool = False, seed: int = 0,
                     workers: Optional[int] = None,
-                    store: Store = None,
+                    store: Optional[TrialStore] = None,
                     shard: Shard = None,
                     progress: Progress = None) -> Table:
     """Sweep the holder radius h; measure decomposition quality.
@@ -223,7 +217,7 @@ def _e02_plan(quick: bool, seed: int) -> List[ScenarioSpec]:
 
 def e02_kwise(quick: bool = False, seed: int = 0,
               workers: Optional[int] = None,
-              store: Store = None,
+              store: Optional[TrialStore] = None,
               shard: Shard = None,
               progress: Progress = None) -> Table:
     """Success of the EN construction as the independence k sweeps up.
@@ -289,7 +283,7 @@ def _e03_plan(quick: bool, seed: int) -> List[ScenarioSpec]:
 
 def e03_splitting(quick: bool = False, seed: int = 0,
                   workers: Optional[int] = None,
-                  store: Store = None,
+                  store: Optional[TrialStore] = None,
                   shard: Shard = None,
                   progress: Progress = None) -> Table:
     """Zero-round splitting under the four randomness regimes."""
@@ -351,7 +345,7 @@ def _e04_plan(quick: bool, seed: int) -> List[ScenarioSpec]:
 
 def e04_shared_congest(quick: bool = False, seed: int = 0,
                        workers: Optional[int] = None,
-                       store: Store = None,
+                       store: Optional[TrialStore] = None,
                        shard: Shard = None,
                        progress: Progress = None) -> Table:
     """Decomposition quality and seed budget of the Theorem 3.6 run."""
@@ -415,7 +409,7 @@ def _e05_plan(quick: bool, seed: int) -> List[ScenarioSpec]:
 
 def e05_sparse_strong(quick: bool = False, seed: int = 0,
                       workers: Optional[int] = None,
-                      store: Store = None,
+                      store: Optional[TrialStore] = None,
                       shard: Shard = None,
                       progress: Progress = None) -> Table:
     """Theorem 3.1's diameter grows with h; Theorem 3.7's must not."""
@@ -469,7 +463,7 @@ def _e06_plan(quick: bool, seed: int) -> List[ScenarioSpec]:
 
 def e06_shattering(quick: bool = False, seed: int = 0,
                    workers: Optional[int] = None,
-                   store: Store = None,
+                   store: Optional[TrialStore] = None,
                    shard: Shard = None,
                    progress: Progress = None) -> Table:
     """Leftover-set statistics and the shattered finish.
@@ -515,7 +509,7 @@ def e06_shattering(quick: bool = False, seed: int = 0,
 # ----------------------------------------------------------------------
 def e07_derandomize(quick: bool = False, seed: int = 0,
                     workers: Optional[int] = None,
-                    store: Store = None,
+                    store: Optional[TrialStore] = None,
                     shard: Shard = None,
                     progress: Progress = None) -> Table:
     """Seed enumeration over instance families of growing size."""
@@ -595,7 +589,7 @@ def _e08_plan(quick: bool, seed: int) -> List[ScenarioSpec]:
 
 def e08_lie_about_n(quick: bool = False, seed: int = 0,
                     workers: Optional[int] = None,
-                    store: Store = None,
+                    store: Optional[TrialStore] = None,
                     shard: Shard = None,
                     progress: Progress = None) -> Table:
     """Success probability and round cost of EN parametrized for N >= n."""
@@ -631,7 +625,7 @@ def e08_lie_about_n(quick: bool = False, seed: int = 0,
 # ----------------------------------------------------------------------
 def e09_mis_coloring(quick: bool = False, seed: int = 0,
                      workers: Optional[int] = None,
-                     store: Store = None,
+                     store: Optional[TrialStore] = None,
                      shard: Shard = None,
                      progress: Progress = None) -> Table:
     """Randomized engine algorithms vs deterministic via-decomposition."""
@@ -690,7 +684,7 @@ def _e10_plan(quick: bool, seed: int) -> List[ScenarioSpec]:
 
 def e10_sinkless(quick: bool = False, seed: int = 0,
                  workers: Optional[int] = None,
-                 store: Store = None,
+                 store: Optional[TrialStore] = None,
                  shard: Shard = None,
                  progress: Progress = None) -> Table:
     """Randomized fix-up convergence on d-regular graphs."""
@@ -739,7 +733,7 @@ def e10_sinkless(quick: bool = False, seed: int = 0,
 # ----------------------------------------------------------------------
 def e11_uniform(quick: bool = False, seed: int = 0,
                 workers: Optional[int] = None,
-                store: Store = None,
+                store: Optional[TrialStore] = None,
                 shard: Shard = None,
                 progress: Progress = None) -> Table:
     """Cost of uniformity: guess-and-double with local certification.
@@ -852,7 +846,7 @@ def scenario_plan(name: str, quick: bool = False,
 
 def run_experiment_grid(grid: ExperimentGrid,
                         workers: Optional[int] = None,
-                        store: Store = None,
+                        store: Optional[TrialStore] = None,
                         shard: Shard = None,
                         progress: Progress = None) -> List[Tuple[str, Table]]:
     """Execute an experiments-kind scenario grid: ``(name, table)`` pairs.
@@ -880,7 +874,7 @@ def run_experiment_grid(grid: ExperimentGrid,
 
 def run_all(quick: bool = True, seed: int = 0,
             workers: Optional[int] = None,
-            store: Store = None,
+            store: Optional[TrialStore] = None,
             shard: Shard = None,
             progress: Progress = None) -> List[Table]:
     """Run every experiment; returns the tables in order.

@@ -66,17 +66,8 @@ from .store import (
     canonical_spec,
     merge_stores,
     record_digest,
-    spec_key,
-)
-from .colstore import (
-    COLSTORE_FORMAT_VERSION,
-    ColumnarStore,
-    compact,
-    decompact,
-    open_store,
     select_results,
-    store_format,
-    verify_migration,
+    spec_key,
 )
 
 __all__ = [
@@ -84,9 +75,7 @@ __all__ = [
     "ArrayEngine",
     "ArrayProgram",
     "AuthenticationError",
-    "COLSTORE_FORMAT_VERSION",
     "CSRGraph",
-    "ColumnarStore",
     "CoordinatorClient",
     "CoordinatorServer",
     "CoordinatorUnavailable",
@@ -119,8 +108,6 @@ __all__ = [
     "aggregate",
     "bfs_forest_trial",
     "canonical_spec",
-    "compact",
-    "decompact",
     "default_chunksize",
     "default_graph_cache",
     "deterministic_uniform",
@@ -132,7 +119,6 @@ __all__ = [
     "merge_stores",
     "native_available",
     "native_unavailable_reason",
-    "open_store",
     "pushed_store_dirs",
     "record_digest",
     "resolve_workers",
@@ -143,7 +129,5 @@ __all__ = [
     "select_results",
     "shard",
     "spec_key",
-    "store_format",
-    "verify_migration",
     "wait_until_done",
 ]

@@ -287,12 +287,6 @@ def run_trials(task: Callable[[TrialSpec], TrialResult],
                         progress(spec, result)
                     for i in positions[spec]:
                         results[i] = result
-    # A buffering store (the columnar format's tail) gets its row
-    # buffer packed now that the sweep is complete; every put above was
-    # already individually durable, so this only finalizes the layout.
-    flush = getattr(store, "flush", None)
-    if flush is not None:
-        flush()
     done: List[TrialResult] = []
     for i, result in enumerate(results):
         if result is None:

@@ -308,7 +308,7 @@ class TrialStore:
             yield self._records[key]
 
     # ------------------------------------------------------------------
-    # merge protocol (shared with ColumnarStore; see merge_stores)
+    # merge protocol (see merge_stores)
     # ------------------------------------------------------------------
     def _get_record(self, key: str) -> Optional[Dict[str, Any]]:
         return self._records.get(key)
@@ -359,6 +359,29 @@ class TrialStore:
         self.close()
 
 
+def select_results(store: TrialStore, task: Optional[str] = None,
+                   family: Optional[str] = None, n: Optional[int] = None,
+                   seed: Optional[int] = None) -> List[TrialResult]:
+    """The store's results matching every given filter, in insertion order.
+
+    A filter left as ``None`` matches anything. The CLI's ``--query``
+    aggregates these with :func:`~repro.sim.batch.runner.aggregate`.
+    """
+    results = []
+    for record in store.records():
+        spec = record["spec"]
+        if ((task is None or record["task"] == task)
+                and (family is None or spec["family"] == family)
+                and (n is None or spec["n"] == n)
+                and (seed is None or spec["seed"] == seed)):
+            params = tuple((key, _decode(value))
+                           for key, value in spec["params"])
+            results.append(TrialResult(
+                TrialSpec(spec["family"], spec["n"], spec["seed"], params),
+                bool(record["ok"]), _decode(record["data"])))
+    return results
+
+
 class ReadThroughStore:
     """A layered store: misses in ``primary`` fall back to ``fallback``.
 
@@ -372,11 +395,7 @@ class ReadThroughStore:
     an arbitrarily-ordered merge of worker shard stores into a final
     store byte-identical to the unsharded baseline.
 
-    ``fallback`` is never written to. Either layer can be any store
-    speaking the ``get``/``put`` protocol — the JSONL
-    :class:`TrialStore` or the columnar store
-    (:mod:`repro.sim.batch.colstore`); the replay-in-grid-order
-    argument above is layout-independent.
+    ``fallback`` is never written to.
     """
 
     def __init__(self, primary: Any, fallback: Any) -> None:
@@ -395,18 +414,12 @@ class ReadThroughStore:
             result: TrialResult) -> None:
         self.primary.put(task_name, spec, result)
 
-    def flush(self) -> None:
-        """Flush the primary's row buffer, if it has one (columnar)."""
-        flush = getattr(self.primary, "flush", None)
-        if flush is not None:
-            flush()
-
     def __len__(self) -> int:
         return len(self.primary)
 
 
-def merge_stores(dest: Any,
-                 sources: Iterable[Union[Any, str, os.PathLike]],
+def merge_stores(dest: TrialStore,
+                 sources: Iterable[Union[TrialStore, str, os.PathLike]],
                  ) -> Dict[str, int]:
     """Fold source stores into ``dest``, deterministically.
 
@@ -418,21 +431,14 @@ def merge_stores(dest: Any,
     conflicting trial key and both record digests — a conflict means
     two stores disagree about a deterministic computation, which is a
     bug worth stopping for, not papering over, and the digests say
-    which copies to go look at.
-
-    Both sides may be either store format — the JSONL
-    :class:`TrialStore` or the columnar store
-    (:mod:`repro.sim.batch.colstore`); paths are auto-detected. A
-    columnar-to-columnar merge takes a bulk fast path that adopts
-    whole column arrays instead of replaying records one by one.
+    which copies to go look at. A path source is opened as a
+    :class:`TrialStore`.
 
     An empty source list is rejected: a merge of nothing would report
     success while leaving ``dest`` unchanged, which in every observed
     case meant a glob or worker fleet produced no stores — an error the
     caller needs to hear about, not a no-op.
     """
-    from .colstore import ColumnarStore, open_store
-
     sources = list(sources)
     if not sources:
         raise ConfigurationError(
@@ -448,14 +454,9 @@ def merge_stores(dest: Any,
                 # and a later run would recompute that host's slice.
                 raise ConfigurationError(
                     f"merge source {path!r} does not exist")
-            src = open_store(path)
+            src = TrialStore(path)
         else:
             src = source
-        if isinstance(dest, ColumnarStore) and isinstance(src, ColumnarStore):
-            sub = dest._adopt_from(src)
-            stats["added"] += sub["added"]
-            stats["duplicate"] += sub["duplicate"]
-            continue
         for record in src.records():
             existing = dest._get_record(record["key"])
             if existing is None:

@@ -30,7 +30,9 @@ from repro.sim.batch import (
     flood_min_trial,
     grid,
     merge_stores,
+    record_digest,
     run_trials,
+    select_results,
     shard,
     spec_key,
 )
@@ -373,8 +375,34 @@ class TestShardAndMerge:
         b.put("t", spec, TrialResult(spec, False, {"x": 2}))
         dest = TrialStore(tmp_path / "dest")
         merge_stores(dest, [a])
-        with pytest.raises(ConfigurationError, match="conflicting"):
+        with pytest.raises(ConfigurationError, match="conflicting") as exc:
             merge_stores(dest, [b])
+        message = str(exc.value)
+        (stored,) = a.records()
+        (incoming,) = b.records()
+        assert spec_key("t", spec) in message
+        assert record_digest(stored) in message
+        assert record_digest(incoming) in message
+
+    def test_conflict_names_key_and_both_digests(self, tmp_path):
+        """Regression: the refusal must identify the first conflicting
+        key and the digest of both payloads, so the diverging store copy
+        can be found without replaying anything."""
+        spec = TrialSpec.of("cycle", 8, 0)
+        a = TrialStore(tmp_path / "a")
+        a.put("t", spec, TrialResult(spec, True, {"rounds": 1}))
+        b = TrialStore(tmp_path / "b")
+        b.put("t", spec, TrialResult(spec, True, {"rounds": 2}))
+        (stored,) = a.records()
+        (incoming,) = b.records()
+        assert record_digest(stored) != record_digest(incoming)
+        with pytest.raises(ConfigurationError) as exc:
+            merge_stores(a, [b])
+        message = str(exc.value)
+        assert spec_key("t", spec) in message
+        assert record_digest(stored) in message
+        assert record_digest(incoming) in message
+        assert "disagree" in message
 
 
 class TestAdaptiveChunksize:
@@ -406,6 +434,25 @@ class TestAdaptiveChunksize:
         s2.close()
         assert (_store_bytes(str(tmp_path / "one"))
                 == _store_bytes(str(tmp_path / "auto")))
+
+
+class TestSelectResults:
+    def test_each_filter_keeps_insertion_order(self, tmp_path):
+        specs = grid(["cycle", "path"], [8, 12], range(3))
+        store = TrialStore(tmp_path)
+        for task in ("a", "b"):
+            run_trials(_probe_task, specs, store=store, task_name=task)
+        fresh = [_probe_task(spec) for spec in specs]
+        assert select_results(store) == fresh + fresh
+        assert select_results(store, task="b") == fresh
+        for field, value in (("family", "path"), ("n", 12), ("seed", 2)):
+            picked = [r for r in fresh if getattr(r.spec, field) == value]
+            assert picked
+            assert select_results(store, task="a", **{field: value}) == picked
+        assert select_results(store, task="b", family="cycle", n=8,
+                              seed=1) == [_probe_task(TrialSpec.of(
+                                  "cycle", 8, 1))]
+        assert select_results(store, family="grid") == []
 
 
 class TestExperimentsWithStore:
@@ -484,3 +531,33 @@ class TestStoreCLI:
         assert main(["--store", str(tmp_path / "s"), "--merge",
                      str(tmp_path / "no-such-store")]) == 2
         capsys.readouterr()
+
+    def test_query_round_trip(self, tmp_path, capsys):
+        from repro.analysis.cli import main
+
+        root = tmp_path / "swept"
+        specs = grid(["cycle", "path"], [8, 12], range(4))
+        run_trials(_probe_task, specs, store=TrialStore(root), task_name="t")
+        assert main(["--store", str(root), "--query", "family=path",
+                     "n=12"]) == 0
+        out = capsys.readouterr().out
+        assert "4 of 16 result(s) match: family=path n=12" in out
+        assert "query family=path n=12" in out
+        rows = [line.split() for line in out.splitlines()
+                if line.startswith("path")]
+        assert rows == [["path", "12", "4", "0.5", "0", "1.5", "3",
+                         "0", "0.5", "1"]]
+
+    @pytest.mark.parametrize("command", [["--query", "family=cycle"],
+                                         ["--list"]])
+    def test_read_only_commands_refuse_a_missing_store(self, tmp_path,
+                                                       capsys, command):
+        """A typo'd --store used to be created empty and reported as
+        "0 of 0 result(s)" with exit 0."""
+        from repro.analysis.cli import main
+
+        typo = tmp_path / "typo" / "dir"
+        assert main(["--store", str(typo), *command]) == 2
+        assert "does not exist" in capsys.readouterr().err
+        assert not typo.exists()
+        assert not (tmp_path / "typo").exists()
