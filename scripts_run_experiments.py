@@ -29,28 +29,6 @@ trials that match every filter::
 
     PYTHONPATH=src python scripts_run_experiments.py \\
         --store runs/full --query family=cycle n=64                # query
-
-Coordinated sweeps replace the manual shard bookkeeping: one
-``--coordinator`` process leases work units to any number of
-``--worker`` processes and merges their pushed stores byte-identically
-to a single-host run (README "Distributed sweeps"). The coordinator
-write-ahead journals every lease transition into its staging directory,
-so a killed coordinator restarts with ``--resume`` and picks up where
-it died; ``--auth-token``/``$REPRO_SWEEP_TOKEN`` gates the control
-plane and ``--timeout`` bounds the wait on a stalled fleet::
-
-    PYTHONPATH=src python scripts_run_experiments.py --store runs/full \\
-        --coordinator 0.0.0.0:8642                                 # serve
-    PYTHONPATH=src python scripts_run_experiments.py \\
-        --worker http://host:8642                                  # per worker
-    PYTHONPATH=src python scripts_run_experiments.py --store runs/full \\
-        --coordinator 0.0.0.0:8642 --resume                        # after a crash
-
-Workers retry transient failures with jittered exponential backoff
-(``--retries``); the coordinator quarantines units the whole fleet
-keeps failing (``--max-attempts``) and reports them in
-``quarantine.json``; ``--chaos SEED`` injects deterministic faults for
-drills (README "Fault model & troubleshooting").
 """
 import argparse
 import sys
@@ -66,10 +44,6 @@ from repro.analysis.cli import (
     resolve_store_arguments,
     run_scenario_locally,
     run_store_commands,
-)
-from repro.analysis.coordinated import (
-    add_coordination_arguments,
-    run_coordination,
 )
 from repro.errors import ConfigurationError
 
@@ -92,17 +66,12 @@ def main(argv=None) -> int:
                              "exit")
     add_scenario_argument(parser)
     add_store_arguments(parser)
-    add_coordination_arguments(parser)
     args = parser.parse_args(argv)
 
     try:
         scenario, names, quick, seed = apply_scenario_argument(
             args, quick=args.quick, profile_flag_set=args.quick,
             profile_flag="--quick")
-        handled = run_coordination(args, names, quick=quick, seed=seed,
-                                   scenario=scenario)
-        if handled is not None:
-            return handled
         store, shard = resolve_store_arguments(args)
         handled = run_store_commands(args, store)
         if handled is None and scenario is not None:

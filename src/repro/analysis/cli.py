@@ -16,8 +16,8 @@ flags with one declarative spec — a library name or a YAML/JSON path::
     python -m repro.analysis --scenario my-sweep.yaml     # your own file
 
 A scenario owns its profile and seed plan, so it conflicts with
-``--full``, ``--seed`` and positional names; store, shard, and
-coordinator/worker modes thread through unchanged.
+``--full``, ``--seed`` and positional names; store and shard flags
+thread through unchanged.
 
 Durable sweeps (see README "Durable sweep store")::
 
@@ -27,29 +27,6 @@ Durable sweeps (see README "Durable sweep store")::
     python -m repro.analysis --store runs/full --merge runs/h0 runs/h1
     python -m repro.analysis --store runs/full --list        # store contents
     python -m repro.analysis --store runs/full --query family=cycle n=64
-
-Coordinated sweeps (see README "Distributed sweeps") replace the manual
-shard-index bookkeeping with dynamically leased work units::
-
-    python -m repro.analysis --full --store runs/full \\
-        --coordinator 0.0.0.0:8642                           # serve + merge
-    python -m repro.analysis --worker http://host:8642       # on each worker
-    python -m repro.analysis --full --store runs/full \\
-        --coordinator 0.0.0.0:8642 --resume                  # after a crash
-
-The coordinator journals every lease transition into its staging
-directory (write-ahead, fsynced per line), so ``--resume`` recovers an
-interrupted sweep exactly; ``--timeout`` bounds the wait on a stalled
-fleet and ``--auth-token``/``$REPRO_SWEEP_TOKEN`` gates the control
-plane with a shared secret.
-
-Fault tolerance (README "Fault model & troubleshooting"): workers retry
-transient control-plane and push failures with exponential backoff and
-deterministic jitter (``--retries``), the coordinator quarantines a
-unit the whole fleet keeps failing instead of re-leasing it forever
-(``--max-attempts``, reported in ``quarantine.json`` and backfilled
-locally at merge time), and ``--chaos SEED``/``--chaos-poison UNIT``
-inject deterministic faults for drills.
 """
 
 from __future__ import annotations
@@ -64,7 +41,6 @@ from ..errors import ConfigurationError
 from ..scenarios import ScenarioSpec, available, scenario_from_arg
 from ..sim.batch import TrialStore, aggregate, merge_stores, select_results
 from .ablations import ABLATIONS
-from .coordinated import add_coordination_arguments, run_coordination
 from .experiments import EXPERIMENTS, SWEEPING
 from .tables import Table, scenario_table
 
@@ -137,10 +113,6 @@ def apply_scenario_argument(
     names = list(args.names) or sorted(EXPERIMENTS)
     if args.scenario is None:
         return None, names, quick, seed
-    if getattr(args, "worker", None) is not None:
-        raise ConfigurationError(
-            "--worker takes no --scenario: the coordinator decides which "
-            "sweeps this worker runs (its units carry the spec)")
     if args.names:
         raise ConfigurationError(
             f"--scenario and positional names are mutually exclusive: the "
@@ -296,17 +268,12 @@ def main(argv: List[str] = None) -> int:
                              "list the store's contents instead)")
     add_scenario_argument(parser)
     add_store_arguments(parser)
-    add_coordination_arguments(parser)
     args = parser.parse_args(argv)
 
     try:
         scenario, names, quick, seed = apply_scenario_argument(
             args, quick=not args.full, profile_flag_set=args.full,
             profile_flag="--full")
-        handled = run_coordination(args, names, quick=quick, seed=seed,
-                                   scenario=scenario)
-        if handled is not None:
-            return handled
         store, shard = resolve_store_arguments(args)
         handled = run_store_commands(args, store)
         if handled is None and scenario is not None:

@@ -85,12 +85,6 @@ from .tables import Table
 #: run_trials sharding: (shard index, shard count) or None.
 Shard = Optional[Tuple[int, int]]
 
-#: run_trials per-trial completion hook (fresh computations only), or
-#: None. Coordinated workers pass a lease-renewal callback here
-#: (:mod:`repro.sim.batch.distrib`); it never changes any number.
-Progress = Optional[Callable[[TrialSpec, TrialResult], None]]
-
-
 def _logn(n: int) -> int:
     return max(1, math.ceil(math.log2(max(2, n))))
 
@@ -140,8 +134,7 @@ def _e01_plan(quick: bool, seed: int) -> List[ScenarioSpec]:
 def e01_sparse_bits(quick: bool = False, seed: int = 0,
                     workers: Optional[int] = None,
                     store: Optional[TrialStore] = None,
-                    shard: Shard = None,
-                    progress: Progress = None) -> Table:
+                    shard: Shard = None) -> Table:
     """Sweep the holder radius h; measure decomposition quality.
 
     Theorem 3.1 bound: O(log n) colors, h·poly(log n) diameter. The
@@ -152,8 +145,7 @@ def e01_sparse_bits(quick: bool = False, seed: int = 0,
     for scenario in _e01_plan(quick, seed):
         h = scenario.algorithm.param("h")
         n = scenario.graph.sizes[0]
-        results = scenario.run(workers=workers, store=store, shard=shard,
-                               progress=progress)
+        results = scenario.run(workers=workers, store=store, shard=shard)
         outcomes = [r.ok for r in results]
         colors = [r.data["colors"] for r in results if r.ok]
         diams = [r.data["diam"] for r in results if r.ok]
@@ -218,8 +210,7 @@ def _e02_plan(quick: bool, seed: int) -> List[ScenarioSpec]:
 def e02_kwise(quick: bool = False, seed: int = 0,
               workers: Optional[int] = None,
               store: Optional[TrialStore] = None,
-              shard: Shard = None,
-              progress: Progress = None) -> Table:
+              shard: Shard = None) -> Table:
     """Success of the EN construction as the independence k sweeps up.
 
     k = 1 is full correlation (all nodes share one radius — ties
@@ -231,13 +222,11 @@ def e02_kwise(quick: bool = False, seed: int = 0,
     trials = ref_scenario.seeds.count
     rows: List[Dict[str, object]] = []
     # Fully independent reference.
-    ref_results = ref_scenario.run(workers=workers, store=store,
-                                   shard=shard, progress=progress)
+    ref_results = ref_scenario.run(workers=workers, store=store, shard=shard)
     ref = [r.ok for r in ref_results]
     for scenario in k_scenarios:
         k = scenario.algorithm.param("k")
-        results = scenario.run(workers=workers, store=store, shard=shard,
-                               progress=progress)
+        results = scenario.run(workers=workers, store=store, shard=shard)
         outcomes = [r.ok for r in results]
         lo, hi = wilson_interval(sum(outcomes), trials)
         rows.append({
@@ -284,8 +273,7 @@ def _e03_plan(quick: bool, seed: int) -> List[ScenarioSpec]:
 def e03_splitting(quick: bool = False, seed: int = 0,
                   workers: Optional[int] = None,
                   store: Optional[TrialStore] = None,
-                  shard: Shard = None,
-                  progress: Progress = None) -> Table:
+                  shard: Shard = None) -> Table:
     """Zero-round splitting under the four randomness regimes."""
     plan = _e03_plan(quick, seed)
     num_v = plan[0].graph.sizes[0]
@@ -295,8 +283,7 @@ def e03_splitting(quick: bool = False, seed: int = 0,
     rows: List[Dict[str, object]] = []
     for scenario in plan:
         regime = scenario.graph.family
-        results = scenario.run(workers=workers, store=store, shard=shard,
-                               progress=progress)
+        results = scenario.run(workers=workers, store=store, shard=shard)
         outcomes = [r.ok for r in results]
         seed_bits = _last_metric(results, "seed_bits")
         lo, hi = wilson_interval(sum(outcomes), trials)
@@ -346,14 +333,12 @@ def _e04_plan(quick: bool, seed: int) -> List[ScenarioSpec]:
 def e04_shared_congest(quick: bool = False, seed: int = 0,
                        workers: Optional[int] = None,
                        store: Optional[TrialStore] = None,
-                       shard: Shard = None,
-                       progress: Progress = None) -> Table:
+                       shard: Shard = None) -> Table:
     """Decomposition quality and seed budget of the Theorem 3.6 run."""
     rows: List[Dict[str, object]] = []
     for scenario in _e04_plan(quick, seed):
         n = scenario.graph.sizes[0]
-        results = scenario.run(workers=workers, store=store, shard=shard,
-                               progress=progress)
+        results = scenario.run(workers=workers, store=store, shard=shard)
         ok = [r.ok for r in results]
         colors = [r.data["colors"] for r in results if r.data]
         diams = [r.data["diam"] for r in results if r.data]
@@ -410,15 +395,13 @@ def _e05_plan(quick: bool, seed: int) -> List[ScenarioSpec]:
 def e05_sparse_strong(quick: bool = False, seed: int = 0,
                       workers: Optional[int] = None,
                       store: Optional[TrialStore] = None,
-                      shard: Shard = None,
-                      progress: Progress = None) -> Table:
+                      shard: Shard = None) -> Table:
     """Theorem 3.1's diameter grows with h; Theorem 3.7's must not."""
     rows: List[Dict[str, object]] = []
     for scenario in _e05_plan(quick, seed):
         h = scenario.algorithm.param("h")
         n = scenario.graph.sizes[0]
-        results = scenario.run(workers=workers, store=store, shard=shard,
-                               progress=progress)
+        results = scenario.run(workers=workers, store=store, shard=shard)
         weak_diams = [r.data["weak"] for r in results if "weak" in r.data]
         strong_diams = [r.data["strong"] for r in results
                         if "strong" in r.data]
@@ -464,8 +447,7 @@ def _e06_plan(quick: bool, seed: int) -> List[ScenarioSpec]:
 def e06_shattering(quick: bool = False, seed: int = 0,
                    workers: Optional[int] = None,
                    store: Optional[TrialStore] = None,
-                   shard: Shard = None,
-                   progress: Progress = None) -> Table:
+                   shard: Shard = None) -> Table:
     """Leftover-set statistics and the shattered finish.
 
     The EN stage is deliberately under-provisioned (few phases) so the
@@ -478,8 +460,7 @@ def e06_shattering(quick: bool = False, seed: int = 0,
     trials = scenario.seeds.count
     phases = scenario.algorithm.param("phases")
     rows: List[Dict[str, object]] = []
-    results = scenario.run(workers=workers, store=store, shard=shard,
-                           progress=progress)
+    results = scenario.run(workers=workers, store=store, shard=shard)
     leftovers = [r.data["leftover"] for r in results if "leftover" in r.data]
     seps = [r.data["separated"] for r in results if "separated" in r.data]
     en_fail = sum(1 for value in leftovers if value > 0)
@@ -510,8 +491,7 @@ def e06_shattering(quick: bool = False, seed: int = 0,
 def e07_derandomize(quick: bool = False, seed: int = 0,
                     workers: Optional[int] = None,
                     store: Optional[TrialStore] = None,
-                    shard: Shard = None,
-                    progress: Progress = None) -> Table:
+                    shard: Shard = None) -> Table:
     """Seed enumeration over instance families of growing size."""
     degree = 8
     seed_bits = 10 if quick else 12
@@ -590,8 +570,7 @@ def _e08_plan(quick: bool, seed: int) -> List[ScenarioSpec]:
 def e08_lie_about_n(quick: bool = False, seed: int = 0,
                     workers: Optional[int] = None,
                     store: Optional[TrialStore] = None,
-                    shard: Shard = None,
-                    progress: Progress = None) -> Table:
+                    shard: Shard = None) -> Table:
     """Success probability and round cost of EN parametrized for N >= n."""
     plan = _e08_plan(quick, seed)
     n = plan[0].graph.sizes[0]
@@ -599,8 +578,7 @@ def e08_lie_about_n(quick: bool = False, seed: int = 0,
     rows: List[Dict[str, object]] = []
     for scenario in plan:
         claimed = int(scenario.name.split("N", 1)[1])
-        results = scenario.run(workers=workers, store=store, shard=shard,
-                               progress=progress)
+        results = scenario.run(workers=workers, store=store, shard=shard)
         outcomes = [r.ok for r in results]
         rounds = _last_metric(results, "rounds")
         failures = trials - sum(outcomes)
@@ -626,8 +604,7 @@ def e08_lie_about_n(quick: bool = False, seed: int = 0,
 def e09_mis_coloring(quick: bool = False, seed: int = 0,
                      workers: Optional[int] = None,
                      store: Optional[TrialStore] = None,
-                     shard: Shard = None,
-                     progress: Progress = None) -> Table:
+                     shard: Shard = None) -> Table:
     """Randomized engine algorithms vs deterministic via-decomposition."""
     sizes = (40, 80) if quick else (50, 100, 200)
     rows: List[Dict[str, object]] = []
@@ -685,16 +662,14 @@ def _e10_plan(quick: bool, seed: int) -> List[ScenarioSpec]:
 def e10_sinkless(quick: bool = False, seed: int = 0,
                  workers: Optional[int] = None,
                  store: Optional[TrialStore] = None,
-                 shard: Shard = None,
-                 progress: Progress = None) -> Table:
+                 shard: Shard = None) -> Table:
     """Randomized fix-up convergence on d-regular graphs."""
     from ..core import randomized_orientation_engine
 
     rows: List[Dict[str, object]] = []
     for scenario in _e10_plan(quick, seed):
         n = scenario.graph.sizes[0]
-        results = scenario.run(workers=workers, store=store, shard=shard,
-                               progress=progress)
+        results = scenario.run(workers=workers, store=store, shard=shard)
         fixups = [r.data["fixups"] for r in results if "fixups" in r.data]
         valid = [r.ok for r in results]
         engine_ok: object = "-"
@@ -734,8 +709,7 @@ def e10_sinkless(quick: bool = False, seed: int = 0,
 def e11_uniform(quick: bool = False, seed: int = 0,
                 workers: Optional[int] = None,
                 store: Optional[TrialStore] = None,
-                shard: Shard = None,
-                progress: Progress = None) -> Table:
+                shard: Shard = None) -> Table:
     """Cost of uniformity: guess-and-double with local certification.
 
     A non-uniform algorithm that needs its input N >= n is made uniform
@@ -834,8 +808,8 @@ def scenario_plan(name: str, quick: bool = False,
 
     ``compile()`` of each emits exactly the TrialSpec grid the driver's
     historical ``run_trials`` call used (asserted byte-for-byte in
-    ``tests/test_scenarios.py``), so stores and coordinator journals
-    keyed on those specs survive the scenario-layer refactor unchanged.
+    ``tests/test_scenarios.py``), so stores keyed on those specs
+    survive the scenario-layer refactor unchanged.
     """
     if name not in SCENARIO_PLANS:
         raise ConfigurationError(
@@ -847,8 +821,7 @@ def scenario_plan(name: str, quick: bool = False,
 def run_experiment_grid(grid: ExperimentGrid,
                         workers: Optional[int] = None,
                         store: Optional[TrialStore] = None,
-                        shard: Shard = None,
-                        progress: Progress = None) -> List[Tuple[str, Table]]:
+                        shard: Shard = None) -> List[Tuple[str, Table]]:
     """Execute an experiments-kind scenario grid: ``(name, table)`` pairs.
 
     The single driver dispatch point — :func:`run_all`, both CLIs, and
@@ -868,15 +841,14 @@ def run_experiment_grid(grid: ExperimentGrid,
     quick = grid.profile == "quick"
     return [(name, EXPERIMENTS[name](quick=quick, seed=grid.seed,
                                      workers=workers, store=store,
-                                     shard=shard, progress=progress))
+                                     shard=shard))
             for name in names]
 
 
 def run_all(quick: bool = True, seed: int = 0,
             workers: Optional[int] = None,
             store: Optional[TrialStore] = None,
-            shard: Shard = None,
-            progress: Progress = None) -> List[Table]:
+            shard: Shard = None) -> List[Table]:
     """Run every experiment; returns the tables in order.
 
     ``workers`` fans each experiment's seed sweep across processes via
@@ -885,11 +857,9 @@ def run_all(quick: bool = True, seed: int = 0,
     module docstring). In shard mode only the :data:`SWEEPING` drivers
     run (and are returned): the others have no trials to slice or
     store, so executing them per shard host would be duplicated work
-    discarded on merge. ``progress`` is handed to every ``run_trials``
-    call (see the module docstring).
+    discarded on merge.
     """
     grid = ExperimentGrid(names=tuple(sorted(EXPERIMENTS)),
                           profile="quick" if quick else "full", seed=seed)
     return [table for _name, table in
-            run_experiment_grid(grid, workers=workers, store=store,
-                                shard=shard, progress=progress)]
+            run_experiment_grid(grid, workers=workers, store=store, shard=shard)]

@@ -418,7 +418,6 @@ class ScenarioSpec:
         workers: Optional[int] = None,
         store: Optional[Any] = None,
         shard: Optional[Tuple[int, int]] = None,
-        progress: Optional[Callable] = None,
     ) -> List[Any]:
         """Execute the compiled grid through :func:`run_trials`.
 
@@ -434,7 +433,6 @@ class ScenarioSpec:
             workers=workers,
             store=store,
             shard=shard,
-            progress=progress,
         )
 
     def scaled(self, max_size: int = 24, max_count: int = 2) -> "ScenarioSpec":

@@ -33,13 +33,6 @@ from ...errors import ConfigurationError
 #: Environment knob consulted when an API's ``workers`` is None.
 WORKERS_ENV = "REPRO_WORKERS"
 
-#: Per-trial completion callback: called as ``progress(spec, result)``
-#: after each *freshly computed* trial (never for cache hits), in grid
-#: order. Distributed workers use it to renew their lease mid-unit
-#: (:mod:`repro.sim.batch.distrib`); it must not affect results.
-Progress = Callable[["TrialSpec", "TrialResult"], None]
-
-
 @dataclasses.dataclass(frozen=True)
 class TrialSpec:
     """One cell of a sweep grid: a topology plus a seed plus knobs.
@@ -183,8 +176,7 @@ def run_trials(task: Callable[[TrialSpec], TrialResult],
                chunksize: Optional[int] = None,
                store: Optional[Any] = None,
                task_name: Optional[str] = None,
-               shard: Optional[Tuple[int, int]] = None,
-               progress: Optional[Progress] = None) -> List[TrialResult]:
+               shard: Optional[Tuple[int, int]] = None) -> List[TrialResult]:
     """Map ``task`` over ``specs``, fanning across processes.
 
     Results are returned in ``specs`` order. With ``workers=1`` (the
@@ -206,12 +198,6 @@ def run_trials(task: Callable[[TrialSpec], TrialResult],
     (``index::count``); positions owned by other shards that are not
     already cached come back as placeholder results (``ok=False``,
     empty ``data``) and are never written to the store.
-
-    ``progress`` is called as ``progress(spec, result)`` after each
-    freshly computed trial, in grid order — never for cache hits, and
-    after the store append when a store is in play, so a progress
-    signal always refers to durable work. Distributed workers hang
-    lease renewal off it (:mod:`repro.sim.batch.distrib`).
     """
     specs = list(specs)
     if shard is not None:
@@ -224,24 +210,11 @@ def run_trials(task: Callable[[TrialSpec], TrialResult],
     if store is None:
         workers = min(resolve_workers(workers), max(1, len(specs)))
         if workers == 1 or len(specs) <= 1:
-            results = []
-            for spec in specs:
-                result = task(spec)
-                if progress is not None:
-                    progress(spec, result)
-                results.append(result)
-            return results
+            return [task(spec) for spec in specs]
         size = (default_chunksize(len(specs), workers)
                 if chunksize is None else max(1, chunksize))
         with multiprocessing.Pool(processes=workers) as pool:
-            if progress is None:
-                return pool.map(task, specs, chunksize=size)
-            results = []
-            for spec, result in zip(specs, pool.imap(task, specs,
-                                                     chunksize=size)):
-                progress(spec, result)
-                results.append(result)
-            return results
+            return pool.map(task, specs, chunksize=size)
 
     name = task_name_of(task, task_name)
     # Validate up front: a bad workers value must fail on a warm cache
@@ -268,8 +241,6 @@ def run_trials(task: Callable[[TrialSpec], TrialResult],
             for spec in to_run:
                 result = task(spec)
                 store.put(name, spec, result)
-                if progress is not None:
-                    progress(spec, result)
                 for i in positions[spec]:
                     results[i] = result
         else:
@@ -283,8 +254,6 @@ def run_trials(task: Callable[[TrialSpec], TrialResult],
                                         pool.imap(task, to_run,
                                                   chunksize=size)):
                     store.put(name, spec, result)
-                    if progress is not None:
-                        progress(spec, result)
                     for i in positions[spec]:
                         results[i] = result
     done: List[TrialResult] = []

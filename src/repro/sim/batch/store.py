@@ -118,25 +118,12 @@ def record_digest(record: Dict[str, Any]) -> str:
     return hashlib.blake2b(payload.encode("utf-8"), digest_size=16).hexdigest()
 
 
-def file_digest(text: str) -> str:
-    """Content address of one store file: hex BLAKE2b-128 of its UTF-8 bytes.
-
-    Used by the push transports (:mod:`repro.sim.batch.distrib`) to
-    verify that a shipped store arrived intact: the sender digests each
-    file before transmission, the receiver re-digests on receipt, and a
-    truncated or corrupted payload is rejected instead of staged.
-    """
-    return hashlib.blake2b(text.encode("utf-8"), digest_size=16).hexdigest()
-
-
 def open_jsonl_append(path: Union[str, os.PathLike]) -> IO[str]:
     """Open ``path`` for appending JSONL records, healing a torn tail.
 
     A crash mid-append can leave the file without a trailing newline;
     terminate the torn line first, or the next record would fuse with
-    it and both lines would be lost on load. Shared by the store's
-    shard files and the coordinator's write-ahead journal
-    (:mod:`repro.sim.batch.distrib`).
+    it and both lines would be lost on load.
     """
     path = os.fspath(path)
     torn = False
@@ -382,42 +369,6 @@ def select_results(store: TrialStore, task: Optional[str] = None,
     return results
 
 
-class ReadThroughStore:
-    """A layered store: misses in ``primary`` fall back to ``fallback``.
-
-    Speaks the same ``get``/``put`` cache protocol ``run_trials`` uses,
-    so it can stand anywhere a :class:`TrialStore` does. A fallback hit
-    is copied forward into ``primary`` at lookup time — and because
-    encoding is deterministic and lookups happen in grid order, a sweep
-    replayed through a read-through layer writes ``primary`` with
-    exactly the bytes a single-host run would have written. That repack
-    is how the sweep coordinator (:mod:`repro.sim.batch.distrib`) turns
-    an arbitrarily-ordered merge of worker shard stores into a final
-    store byte-identical to the unsharded baseline.
-
-    ``fallback`` is never written to.
-    """
-
-    def __init__(self, primary: Any, fallback: Any) -> None:
-        self.primary = primary
-        self.fallback = fallback
-
-    def get(self, task_name: str, spec: TrialSpec) -> Optional[TrialResult]:
-        result = self.primary.get(task_name, spec)
-        if result is None:
-            result = self.fallback.get(task_name, spec)
-            if result is not None:
-                self.primary.put(task_name, spec, result)
-        return result
-
-    def put(self, task_name: str, spec: TrialSpec,
-            result: TrialResult) -> None:
-        self.primary.put(task_name, spec, result)
-
-    def __len__(self) -> int:
-        return len(self.primary)
-
-
 def merge_stores(dest: TrialStore,
                  sources: Iterable[Union[TrialStore, str, os.PathLike]],
                  ) -> Dict[str, int]:
@@ -436,7 +387,7 @@ def merge_stores(dest: TrialStore,
 
     An empty source list is rejected: a merge of nothing would report
     success while leaving ``dest`` unchanged, which in every observed
-    case meant a glob or worker fleet produced no stores — an error the
+    case meant a glob or a shard host produced no stores — an error the
     caller needs to hear about, not a no-op.
     """
     sources = list(sources)

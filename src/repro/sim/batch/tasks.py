@@ -59,6 +59,7 @@ from ...randomness.independent import IndependentSource
 from ..engine import CONGEST
 from ..graph import DistributedGraph
 from .csr import CSRGraph, ensure_csr
+from .faults import RoundFaultPlan
 from .runner import TrialResult, TrialSpec
 
 _ENGINES = ("fast", "array", "kernel", "native")
@@ -155,10 +156,6 @@ def _faults_of(spec: TrialSpec):
     churn = spec.param("fault_churn", 0.0)
     if not (crash or loss or churn):
         return None
-    # Deferred: the fault module sits next to the coordinator transport
-    # stack, which clean sweeps should never pay to import.
-    from .faults import RoundFaultPlan
-
     return RoundFaultPlan(
         seed=spec.param("fault_seed", spec.seed),
         crash=crash, loss=loss, churn=churn,

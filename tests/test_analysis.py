@@ -1,7 +1,12 @@
 """Analysis layer: tables, statistics, and experiment smoke tests."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.analysis import (
     EXPERIMENTS,
     Table,
@@ -87,3 +92,17 @@ class TestExperimentRegistry:
     def test_e06_smoke(self):
         table = EXPERIMENTS["e06"](quick=True, seed=2)
         assert table.rows[0]["shattering success"] == 1.0
+
+
+class TestImportFloor:
+    def test_cli_import_pulls_in_no_network_stack(self):
+        """Sweeps run on one host: the CLI needs no HTTP, URL or TLS code."""
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        code = ("import sys\n"
+                "import repro.analysis.cli\n"
+                "banned = ('http.client', 'http.server', 'urllib.request',\n"
+                "          'socketserver', 'ssl')\n"
+                "loaded = [name for name in banned if name in sys.modules]\n"
+                "assert not loaded, loaded\n")
+        env = dict(os.environ, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)

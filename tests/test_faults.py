@@ -1,312 +1,83 @@
-"""Deterministic fault injection: plans, flaky wrappers, chaos sweeps.
+"""Deterministic per-round faults: the schedule behind the fault scenarios.
 
-The contract under test: every fault is a pure function of (seed,
-scope, label, counter) — two runs of the same plan see identical
-weather — and the production retry/quarantine machinery absorbs all of
-it, ending in a merged store byte-identical to a fault-free run.
+The contract under test: every fault decision of a
+:class:`RoundFaultPlan` is a pure function of its labels — seed, round,
+endpoints, fault kind — so two runs of the same plan see identical
+weather, different labels see independent weather, and each rate is
+the long-run frequency of its fault.
 """
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.sim.batch import (
-    CoordinatorUnavailable,
-    DirTransport,
-    FaultPlan,
-    FlakyControl,
-    FlakyTransport,
-    PushIntegrityError,
-    ReadThroughStore,
-    RetryPolicy,
-    RetryableError,
-    SweepCoordinator,
-    TrialStore,
-    WorkUnit,
-    flood_min_trial,
-    grid,
-    merge_pushed,
-    run_trials,
-    run_worker,
-)
-
-FLOOD_TASK_NAME = "repro.sim.batch.tasks.flood_min_trial"
+from repro.sim.batch import RoundFaultPlan
+from repro.sim.batch.faults import deterministic_uniform
 
 
-class _SleepRecorder:
-    def __init__(self) -> None:
-        self.calls: list = []
-
-    def __call__(self, seconds: float) -> None:
-        self.calls.append(seconds)
+def _crash_schedule(plan: RoundFaultPlan, rounds: int, nodes: int) -> list:
+    return [plan.crashes(r, v) for r in range(1, rounds + 1)
+            for v in range(nodes)]
 
 
-def _units(count: int) -> list:
-    return [WorkUnit.of(i, "s", i, count, quick=True) for i in range(count)]
-
-
-def _store_bytes(root: str) -> dict:
-    contents = {}
-    for dirpath, _dirs, files in os.walk(root):
-        for name in files:
-            path = os.path.join(dirpath, name)
-            with open(path, "rb") as handle:
-                contents[os.path.relpath(path, root)] = handle.read()
-    return contents
+def _drop_schedule(plan: RoundFaultPlan, rounds: int, nodes: int) -> list:
+    return [plan.drops(r, u, v) for r in range(1, rounds + 1)
+            for u in range(nodes) for v in range(nodes) if u != v]
 
 
 class TestFaultPlan:
     def test_schedule_is_a_pure_function_of_its_labels(self):
-        first = FaultPlan(7, scope="w1", drop=0.2, error=0.2)
-        second = FaultPlan(7, scope="w1", drop=0.2, error=0.2)
-        sequence = [first.decide("lease") for _ in range(32)]
-        assert sequence == [second.decide("lease") for _ in range(32)]
-        assert sequence == first.preview("lease", 32)  # preview = replay
-        # preview never advances the live counter.
-        assert first.preview("renew", 4) == [
-            first.decide("renew") for _ in range(4)
-        ]
+        first = RoundFaultPlan(7, crash=0.2, loss=0.2, churn=0.2)
+        second = RoundFaultPlan(7, crash=0.2, loss=0.2, churn=0.2)
+        assert _crash_schedule(first, 16, 8) == _crash_schedule(second, 16, 8)
+        assert _drop_schedule(first, 8, 6) == _drop_schedule(second, 8, 6)
+        # Asking twice, or in another order, never shifts a decision.
+        assert [first.crashes(3, 5), first.crashes(1, 0)] == [
+            first.crashes(3, 5), first.crashes(1, 0)]
+        assert [deterministic_uniform(c, "x", 1) for c in range(8)] == [
+            deterministic_uniform(c, "x", 1) for c in range(8)]
+        assert all(0.0 <= deterministic_uniform(c, "x", 1) < 1.0
+                   for c in range(64))
 
     def test_scope_and_label_decorrelate_schedules(self):
-        base = FaultPlan(7, scope="w1", drop=0.3, delay=0.3)
-        other_scope = FaultPlan(7, scope="w2", drop=0.3, delay=0.3)
-        assert base.preview("lease", 64) != other_scope.preview("lease", 64)
-        assert base.preview("lease", 64) != base.preview("renew", 64)
+        base = RoundFaultPlan(7, crash=0.3, loss=0.3)
+        other_seed = RoundFaultPlan(8, crash=0.3, loss=0.3)
+        assert _crash_schedule(base, 16, 8) != _crash_schedule(other_seed, 16, 8)
+        assert _drop_schedule(base, 8, 6) != _drop_schedule(other_seed, 8, 6)
+        draws = [deterministic_uniform(c, "sim-crash", 7, 0) for c in range(64)]
+        assert draws != [deterministic_uniform(c, "sim-loss", 7, 0)
+                         for c in range(64)]
+        # Parts are length-prefixed: ("ab", "c") and ("a", "bc") differ.
+        assert deterministic_uniform(0, "ab", "c") != deterministic_uniform(
+            0, "a", "bc")
 
     def test_rates_are_respected_in_the_long_run(self):
-        plan = FaultPlan(3, drop=0.25)
-        decisions = plan.preview("push", 4000)
-        dropped = sum(1 for kind in decisions if kind == "drop")
-        assert 0.2 < dropped / 4000 < 0.3
-        assert set(decisions) <= {None, "drop"}
+        plan = RoundFaultPlan(3, loss=0.25)
+        decisions = _drop_schedule(plan, 200, 5)  # 4000 messages
+        dropped = sum(decisions)
+        assert 0.2 < dropped / len(decisions) < 0.3
+        # Loss is per message; churn takes both directions down together.
+        churn = RoundFaultPlan(3, churn=0.5)
+        for r in range(1, 65):
+            assert churn.drops(r, 0, 1) == churn.drops(r, 1, 0)
 
     def test_zero_rate_kinds_never_fire(self):
-        plan = FaultPlan(3, drop=0.0, error=1.0)
-        assert set(plan.preview("x", 64)) == {"error"}
+        plan = RoundFaultPlan(3, crash=0.0, loss=1.0)
+        assert plan.active
+        assert not any(_crash_schedule(plan, 16, 8))
+        assert all(_drop_schedule(plan, 4, 5))
+        assert not RoundFaultPlan(3).active
+        # Nothing fires before start_round, whatever the rates.
+        late = RoundFaultPlan(3, crash=1.0, loss=1.0, start_round=4)
+        assert not any(late.crashes(r, 0) or late.drops(r, 0, 1)
+                       for r in range(1, 4))
+        assert late.crashes(4, 0) and late.drops(4, 0, 1)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError, match="in \\[0, 1\\]"):
-            FaultPlan(1, drop=1.5)
-        with pytest.raises(ConfigurationError, match="exceeds 1"):
-            FaultPlan(1, drop=0.6, error=0.6)
-        with pytest.raises(ConfigurationError, match="delay_seconds"):
-            FaultPlan(1, delay_seconds=-1)
-
-
-class TestFlakyControl:
-    def _coordinator(self) -> SweepCoordinator:
-        return SweepCoordinator(_units(2), lease_ttl=30)
-
-    def test_drop_raises_without_touching_the_coordinator(self):
-        coordinator = self._coordinator()
-        flaky = FlakyControl(coordinator, FaultPlan(1, drop=1.0))
-        with pytest.raises(CoordinatorUnavailable, match="injected fault"):
-            flaky.lease("w")
-        assert coordinator.status()["leased"] == 0
-
-    def test_error_is_a_retryable_503(self):
-        coordinator = self._coordinator()
-        flaky = FlakyControl(coordinator, FaultPlan(1, error=1.0))
-        with pytest.raises(RetryableError, match="503"):
-            flaky.complete("w", 0)
-        assert coordinator.status()["completed"] == 0
-
-    def test_delay_stalls_then_performs_the_call(self):
-        recorder = _SleepRecorder()
-        coordinator = self._coordinator()
-        flaky = FlakyControl(
-            coordinator,
-            FaultPlan(1, delay=1.0, delay_seconds=0.05),
-            sleep=recorder,
-        )
-        assert flaky.lease("w").unit.unit_id == 0
-        assert recorder.calls == [0.05]
-        assert coordinator.status()["leased"] == 1
-
-    def test_duplicate_exercises_idempotency_and_returns_the_first(self):
-        coordinator = self._coordinator()
-        flaky = FlakyControl(coordinator, FaultPlan(1, duplicate=1.0))
-        coordinator.lease("w")
-        # The duplicated complete lands twice; callers see the first
-        # verdict, and the second is absorbed as "duplicate".
-        assert flaky.complete("w", 0) == "completed"
-        assert coordinator.status()["completed"] == 1
-        coordinator.lease("w")
-        assert flaky.fail("w", 1, "x") == "requeued"
-        assert coordinator.status()["pending"] == 1
-
-    def test_lease_is_never_duplicated(self):
-        """Duplicating a lease would strand a second unit until TTL
-        expiry; the plan's duplicate decision downgrades to a delay."""
-        recorder = _SleepRecorder()
-        coordinator = self._coordinator()
-        flaky = FlakyControl(
-            coordinator, FaultPlan(1, duplicate=1.0), sleep=recorder
-        )
-        reply = flaky.lease("w")
-        assert reply.unit.unit_id == 0
-        assert coordinator.status()["leased"] == 1  # not 2
-        assert len(recorder.calls) == 1
-
-
-class TestFlakyTransport:
-    def _source(self, tmp_path) -> str:
-        specs = grid(["cycle"], [12], range(2), radius=12)
-        store = TrialStore(tmp_path / "src")
-        run_trials(flood_min_trial, specs, store=store)
-        store.close()
-        return str(tmp_path / "src")
-
-    def test_truncated_push_is_rejected_by_the_digest_check(self, tmp_path):
-        source = self._source(tmp_path)
-        staging = str(tmp_path / "staging")
-        flaky = FlakyTransport(
-            DirTransport(staging), FaultPlan(1, truncate=1.0)
-        )
-        with pytest.raises(PushIntegrityError, match="corrupt"):
-            flaky.push(source, "u0-a1-w")
-        assert os.listdir(staging) == []  # nothing staged
-
-    def test_retried_push_converges(self, tmp_path):
-        """truncate-then-clean: exactly what RetryPolicy sees in anger."""
-        source = self._source(tmp_path)
-        staging = str(tmp_path / "staging")
-        plan = FaultPlan(1, truncate=0.5)
-        decisions = plan.preview("push", 8)
-        assert "truncate" in decisions and None in decisions
-        flaky = FlakyTransport(DirTransport(staging), plan)
-        policy = RetryPolicy(attempts=8, base_delay=0.0, sleep=lambda s: None)
-        policy.call(lambda: flaky.push(source, "u0-a1-w"), label="push")
-        clean = DirTransport(str(tmp_path / "clean"))
-        clean.push(source, "u0-a1-w")
-        assert _store_bytes(
-            os.path.join(staging, "u0-a1-w")
-        ) == _store_bytes(os.path.join(str(tmp_path / "clean"), "u0-a1-w"))
-
-    def test_drop_and_error_do_not_deliver(self, tmp_path):
-        source = self._source(tmp_path)
-        staging = str(tmp_path / "staging")
-        dropper = FlakyTransport(DirTransport(staging), FaultPlan(1, drop=1.0))
-        with pytest.raises(CoordinatorUnavailable):
-            dropper.push(source, "a")
-        erroring = FlakyTransport(
-            DirTransport(staging), FaultPlan(1, error=1.0)
-        )
-        with pytest.raises(RetryableError, match="503"):
-            erroring.push(source, "b")
-        assert os.listdir(staging) == []
-
-    def test_duplicate_push_is_idempotent(self, tmp_path):
-        source = self._source(tmp_path)
-        staging = str(tmp_path / "staging")
-        flaky = FlakyTransport(
-            DirTransport(staging), FaultPlan(1, duplicate=1.0)
-        )
-        flaky.push(source, "u0-a1-w")
-        assert os.listdir(staging) == ["u0-a1-w"]
-
-
-class TestChaosSweepEndToEnd:
-    """The capstone in miniature: a full in-process sweep under an
-    aggressive fault plan plus one poison unit, byte-identical."""
-
-    def test_chaotic_sweep_is_byte_identical_with_poison_quarantined(
-        self, tmp_path
-    ):
-        specs = grid(["cycle", "path"], [12], range(3), radius=12)
-        single = TrialStore(tmp_path / "single")
-        run_trials(flood_min_trial, specs, store=single)
-        single.close()
-
-        units = [WorkUnit.of(i, "flood", i, 4) for i in range(4)]
-        coordinator = SweepCoordinator(units, lease_ttl=30, max_attempts=2)
-        staging_root = str(tmp_path / "staging")
-        poisoned = 2
-
-        def execute(unit, store, renew):
-            if unit.unit_id == poisoned:
-                raise RuntimeError("chaos: poisoned unit")
-            run_trials(
-                flood_min_trial,
-                specs,
-                store=store,
-                shard=(unit.index, unit.count),
-                progress=renew,
-            )
-
-        worker_stats = {}
-        for worker_id in ("w1", "w2"):
-            control = FlakyControl(
-                coordinator,
-                FaultPlan(
-                    11,
-                    scope=f"control:{worker_id}",
-                    drop=0.1,
-                    delay=0.1,
-                    duplicate=0.1,
-                    error=0.1,
-                    delay_seconds=0.0,
-                ),
-                sleep=lambda s: None,
-            )
-            transport = FlakyTransport(
-                DirTransport(staging_root),
-                FaultPlan(
-                    11,
-                    scope=f"push:{worker_id}",
-                    drop=0.1,
-                    delay=0.1,
-                    duplicate=0.1,
-                    error=0.1,
-                    truncate=0.3,
-                    delay_seconds=0.0,
-                ),
-                sleep=lambda s: None,
-            )
-            worker_stats[worker_id] = run_worker(
-                control,
-                execute,
-                transport,
-                str(tmp_path / f"scratch-{worker_id}"),
-                worker_id=worker_id,
-                sleep=lambda s: None,
-                retry=RetryPolicy(
-                    attempts=10,
-                    base_delay=0.0,
-                    seed=worker_id,
-                    sleep=lambda s: None,
-                ),
-            )
-
-        status = coordinator.status()
-        assert status["done"]
-        assert status["completed"] == 3
-        assert status["quarantined"] == 1
-        entry = status["quarantine"][str(poisoned)]
-        assert entry["attempts"] == 2  # exactly --max-attempts
-        assert "poisoned" in entry["error"]
-        total_failed = sum(s["failed"] for s in worker_stats.values())
-        assert total_failed == 2  # one /fail per burned attempt
-        # Chaos actually happened: the fleet had to retry something.
-        assert sum(s["retries"] for s in worker_stats.values()) > 0
-
-        # Merge + backfill + repack exactly as run_coordinator_mode
-        # does: the quarantined unit's slice is computed locally into
-        # the staging layer first, then the replay repacks from a full
-        # cache — byte-identical to the single-host store.
-        staging = TrialStore(tmp_path / "merged-staging")
-        merge_pushed(staging_root, staging)
-        run_trials(
-            flood_min_trial, specs, store=staging, shard=(poisoned, 4)
-        )
-        final = TrialStore(tmp_path / "final")
-        layered = ReadThroughStore(final, staging)
-        replay = run_trials(flood_min_trial, specs, store=layered)
-        assert replay == run_trials(flood_min_trial, specs)
-        final.close()
-        assert _store_bytes(str(tmp_path / "final")) == _store_bytes(
-            str(tmp_path / "single")
-        )
+            RoundFaultPlan(1, crash=1.5)
+        with pytest.raises(ConfigurationError, match="in \\[0, 1\\]"):
+            RoundFaultPlan(1, loss=-0.1)
+        with pytest.raises(ConfigurationError, match="start_round"):
+            RoundFaultPlan(1, start_round=0)

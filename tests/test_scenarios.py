@@ -1,12 +1,12 @@
-"""The scenario layer: spec model, loader, library, faults, coordination.
+"""The scenario layer: spec model, loader, library, faults, CLI.
 
 Covers the guarantees the layer advertises: strict two-way
 serialization (load -> serialize -> load is exact, digests ignore key
 order, junk fails loudly), compilation to the same TrialSpec grids the
 hand-written sweeps used (plain scenarios add zero params, so store
 keys are unchanged), every library scenario running end-to-end at a
-tiny scale, seeded per-round fault injection staying deterministic,
-and scenario work units surviving the JSON trip through a coordinator.
+tiny scale, and seeded per-round fault injection staying
+deterministic — pinned to the exact results of the fault scenarios.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import json
 
 import pytest
 
-from repro.analysis.coordinated import execute_experiment_unit, scenario_units
 from repro.analysis.experiments import SCENARIO_PLANS, scenario_plan
 from repro.analysis.tables import scenario_table
 from repro.core.mis import luby_mis
@@ -42,7 +41,7 @@ from repro.scenarios import (
     scenario_from_arg,
     sweep_scenario,
 )
-from repro.sim.batch import RoundFaultPlan, TrialResult, TrialSpec, TrialStore
+from repro.sim.batch import RoundFaultPlan, TrialResult, TrialSpec
 
 
 def _rich_scenario() -> ScenarioSpec:
@@ -261,6 +260,61 @@ class TestRoundFaultPlan:
         assert result.data == {"failure": "RandomnessExhausted"}
 
 
+#: (spec, ok, data) of each fault scenario at ``.scaled(max_size=24,
+#: max_count=3)``. The fault draws are keyed BLAKE2b, so any change to
+#: deterministic_uniform's key, the plan's labels or the engine's fault
+#: semantics moves these numbers.
+FAULT_SCENARIO_PINS = {
+    "crash-midround": [
+        (TrialSpec("grid", 24, 0, (("fault_crash", 0.05), ("fault_seed", 7))),
+         True, {"rounds": 7, "messages": 125, "total_bits": 3934,
+                "max_message_bits": 44, "randomness_bits": 530}),
+        (TrialSpec("grid", 24, 1, (("fault_crash", 0.05), ("fault_seed", 7))),
+         True, {"rounds": 7, "messages": 126, "total_bits": 3900,
+                "max_message_bits": 43, "randomness_bits": 390}),
+        (TrialSpec("grid", 24, 2, (("fault_crash", 0.05), ("fault_seed", 7))),
+         False, {"rounds": 6, "messages": 119, "total_bits": 3771,
+                 "max_message_bits": 44, "randomness_bits": 400}),
+    ],
+    "lossy-congest": [
+        (TrialSpec("gnp-sparse", 24, 0, (("fault_loss", 0.2),
+                                         ("fault_seed", 3), ("radius", 96))),
+         True, {"rounds": 96, "messages": 5184, "total_bits": 57655,
+                "max_message_bits": 15, "randomness_bits": 0}),
+        (TrialSpec("gnp-sparse", 24, 1, (("fault_loss", 0.2),
+                                         ("fault_seed", 3), ("radius", 96))),
+         True, {"rounds": 96, "messages": 5760, "total_bits": 58228,
+                "max_message_bits": 15, "randomness_bits": 0}),
+        (TrialSpec("gnp-sparse", 24, 2, (("fault_loss", 0.2),
+                                         ("fault_seed", 3), ("radius", 96))),
+         True, {"rounds": 96, "messages": 5760, "total_bits": 63703,
+                "max_message_bits": 15, "randomness_bits": 0}),
+    ],
+    "edge-churn": [
+        (TrialSpec("tree", 24, 0, (("depth_bound", 96), ("fault_churn", 0.15),
+                                   ("fault_seed", 5))),
+         False, {"rounds": 96, "messages": 37, "total_bits": 875,
+                 "max_message_bits": 25, "randomness_bits": 0}),
+        (TrialSpec("tree", 24, 1, (("depth_bound", 96), ("fault_churn", 0.15),
+                                   ("fault_seed", 5))),
+         False, {"rounds": 96, "messages": 26, "total_bits": 569,
+                 "max_message_bits": 23, "randomness_bits": 0}),
+        (TrialSpec("tree", 24, 2, (("depth_bound", 96), ("fault_churn", 0.15),
+                                   ("fault_seed", 5))),
+         False, {"rounds": 96, "messages": 24, "total_bits": 484,
+                 "max_message_bits": 21, "randomness_bits": 0}),
+    ],
+}
+
+
+class TestFaultScenarioPins:
+    @pytest.mark.parametrize("name", sorted(FAULT_SCENARIO_PINS))
+    def test_fault_scenario_results_are_pinned(self, name):
+        spec = load_named(name).scaled(max_size=24, max_count=3)
+        results = [(r.spec, r.ok, r.data) for r in spec.run()]
+        assert results == FAULT_SCENARIO_PINS[name]
+
+
 class TestGeneratorValidation:
     @pytest.mark.parametrize("call", [
         lambda: gnp(0, 0.5), lambda: gnp(5, 1.5),
@@ -304,26 +358,6 @@ class TestLibraryEndToEnd:
         assert spec.digest() in rendered
 
 
-class TestScenarioUnits:
-    def test_units_round_trip_through_json_and_store(self, tmp_path):
-        spec = sweep_scenario("units", "luby-mis", "path", (8, 12),
-                              seed_count=2)
-        units = scenario_units(spec, 2)
-        assert [u.index for u in units] == [0, 1]
-        direct = spec.run()
-        with TrialStore(str(tmp_path / "store")) as store:
-            for unit in units:
-                execute_experiment_unit(unit, store, lambda *_: None)
-            assert len(store) == len(direct)
-            replayed = spec.run(store=store)
-        assert [(r.spec, r.ok, r.data) for r in replayed] == \
-               [(r.spec, r.ok, r.data) for r in direct]
-
-    def test_experiments_scenarios_cannot_become_units(self):
-        with pytest.raises(ConfigurationError):
-            scenario_units(load_named("paper-quick"), 2)
-
-
 class TestCLI:
     def test_scenario_flag_runs_a_file(self, tmp_path, capsys):
         from repro.analysis.cli import main
@@ -338,8 +372,7 @@ class TestCLI:
     @pytest.mark.parametrize("argv", [
         ["--scenario", "paper-quick", "--seed", "2"],
         ["--scenario", "paper-quick", "--full"],
-        ["--scenario", "paper-quick", "e01"],
-        ["--scenario", "paper-quick", "--worker", "http://x:1"]])
+        ["--scenario", "paper-quick", "e01"]])
     def test_scenario_conflicts_exit_2(self, argv):
         from repro.analysis.cli import main
 

@@ -343,6 +343,22 @@ class TestShardAndMerge:
         assert merge_stores(dest, [src]) == {"added": 0, "duplicate": 1}
         assert len(dest) == 1
 
+    def test_overlapping_host_stores_dedupe_at_merge(self, tmp_path):
+        """A slice two hosts both computed merges once, not as a conflict."""
+        specs = grid(["cycle"], [12], range(4), radius=12)
+        cold = run_trials(flood_min_trial, specs, workers=1)
+        whole = TrialStore(tmp_path / "whole")
+        run_trials(flood_min_trial, specs, store=whole)
+        half = TrialStore(tmp_path / "half")
+        run_trials(flood_min_trial, specs, store=half, shard=(1, 2))
+
+        merged = TrialStore(tmp_path / "merged")
+        stats = merge_stores(merged, [half, whole])
+        assert stats == {"added": len(specs), "duplicate": len(specs) // 2}
+        replay = run_trials(_poison_task, specs, store=merged,
+                            task_name="repro.sim.batch.tasks.flood_min_trial")
+        assert replay == cold
+
     def test_merge_accepts_paths(self, tmp_path):
         spec = TrialSpec.of("cycle", 12, 3)
         TrialStore(tmp_path / "src").put("t", spec, _probe_task(spec))
